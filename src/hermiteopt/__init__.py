@@ -46,7 +46,6 @@ from .problem import (
     TrainingSet,
     evaluate,
     incumbent,
-    replace_point,
 )
 from .subproblem import solve_subproblem
 from .testbed import add_noise, get_problem, mask_availability, problem_names
@@ -88,7 +87,6 @@ __all__ = [
     "model_error_diagnostic",
     "problem_names",
     "propose_geometry_point",
-    "replace_point",
     "run",
     "select_outgoing",
     "solve_subproblem",

@@ -51,6 +51,14 @@ class MonomialBasis:
         quad[self._diag] *= 0.5
         return np.concatenate([z, quad])
 
+    def value_rows(self, Z: np.ndarray) -> np.ndarray:
+        """``value_row`` of every row of ``Z``, stacked.  ``value_row``
+        keeps its own one-point form, which costs half as much per call."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        quad = Z[:, self._ii] * Z[:, self._jj]
+        quad[:, self._diag] *= 0.5
+        return np.hstack([Z, quad])
+
     def derivative_row(self, z: np.ndarray, axis: int) -> np.ndarray:
         """First partial derivative of every basis function along ``axis``."""
         z = np.asarray(z, dtype=float)

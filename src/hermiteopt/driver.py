@@ -205,14 +205,20 @@ def resolved_point_count(spec: ObjectiveSpec, config: SolverConfig) -> int:
     )
 
 
-def ratio_test(f_old: float, f_new: float, m_old: float, m_new: float) -> float:
-    """Actual decrease over model-predicted decrease."""
+def predicted_decrease(f_old: float, m_old: float, m_new: float) -> float:
+    """Model-predicted decrease; raises DegenerateModelDecrease when it is
+    below the resolution of the objective value."""
     decrease = m_old - m_new
     if decrease <= 1e-15 * max(1.0, abs(f_old)):
         raise DegenerateModelDecrease(
             f"model decrease {decrease:.3e} is below resolution"
         )
-    return (f_old - f_new) / decrease
+    return decrease
+
+
+def ratio_test(f_old: float, f_new: float, m_old: float, m_new: float) -> float:
+    """Actual decrease over model-predicted decrease."""
+    return (f_old - f_new) / predicted_decrease(f_old, m_old, m_new)
 
 
 def _is_distinct(point: np.ndarray, ts: TrainingSet) -> bool:
@@ -362,8 +368,8 @@ def _repair_candidates(n: int, direction: np.ndarray):
             yield -flipped
 
 
-def _null_basis(matrix: np.ndarray) -> np.ndarray:
-    _, s, Vt = np.linalg.svd(matrix, full_matrices=False)
+def _null_basis(sys) -> np.ndarray:
+    _, s, Vt = sys.svd
     null = Vt[s <= max(1e-10 * s[0], np.finfo(float).tiny)]
     return null if null.size else Vt[-1:]
 
@@ -387,7 +393,7 @@ def _null_space_score(sys, null: np.ndarray, cand: np.ndarray, delta: float) -> 
 def _redundancy_order(sys, point_count: int, incumbent_index: int):
     """Training indices sorted from most to least redundant, judged by the
     total leverage of each point's rows in the non-null row space."""
-    U, s, _ = np.linalg.svd(sys.matrix, full_matrices=False)
+    U, s, _ = sys.svd
     keep = s > 1e-10 * s[0]
     leverage_rows = np.sum(U[:, keep] ** 2, axis=1)
     totals = np.zeros(point_count)
@@ -440,7 +446,7 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), sta
     if not candidates:
         return ts, None
     if sys_scaled.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
-        null = _null_basis(sys_scaled.matrix)
+        null = _null_basis(sys_scaled)
         scores = [_null_space_score(sys_scaled, null, c, delta) for c in candidates]
         pick = candidates[int(np.argmax(scores))]
     else:
@@ -475,16 +481,20 @@ def model_error_diagnostic(
     return float(np.sum(diff**2) * h**n)
 
 
-def _improve_geometry_if_poor(state, spec, config, evaluator, delta):
+def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=None):
     """One geometry-improvement evaluation when the set is badly poised on
     the current ball or has gone stale (points far outside it).
 
     Works from the current training set, which may already contain the
-    just-accepted trial point.
+    just-accepted trial point.  ``sys_now`` is the unweighted scaled
+    system of that set for radius ``delta`` when the caller still has it;
+    the family ignores the previous Hessian and the right-hand side, so a
+    system assembled before ``state.h_prev`` changed serves as well.
     """
     try:
         x_opt = state.ts.incumbent_record.point
-        sys_now = apply_scaling(_assemble(state.ts, spec, config, state), delta)
+        if sys_now is None:
+            sys_now = apply_scaling(_assemble(state.ts, spec, config, state), delta)
         family = lagrange_family(sys_now)
         far = _farthest_index(state.ts)
         far_dist = float(np.linalg.norm(state.ts.records[far].point - x_opt))
@@ -560,10 +570,10 @@ def step_iteration(
     if float(np.linalg.norm(step)) < config.step_tiny:
         return TerminationReason.STEP_SIZE_TINY
 
-    m_old = model.value(x_opt)
-    m_new = model.value(x_opt + step)
-    if m_old - m_new <= 1e-15 * max(1.0, abs(f_opt)):
-        # degenerate predicted decrease: reject without spending the budget
+    try:
+        decrease = predicted_decrease(f_opt, model.value(x_opt), model.value(x_opt + step))
+    except DegenerateModelDecrease:
+        # reject without spending the budget
         state.radius = config.gamma_dec * delta
         if state.radius < config.min_radius:
             return TerminationReason.RADIUS_BELOW_MIN
@@ -571,7 +581,7 @@ def step_iteration(
 
     trial = spec.bounds.clip(x_opt + step)
     rec = evaluator(trial)
-    r = ratio_test(f_opt, rec.value, m_old, m_new)
+    r = (f_opt - rec.value) / decrease
     accepted = r >= config.eta1
 
     step_norm = float(np.linalg.norm(step))
@@ -601,7 +611,9 @@ def step_iteration(
         # a trial that changed nothing means the function is flat at this
         # resolution; fresh geometry points would all repeat that value
         if rec.value != f_opt:
-            _improve_geometry_if_poor(state, spec, config, evaluator, delta)
+            # the training set is unchanged, so this iteration's system
+            # and its factorization still describe it
+            _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
 
     trace.append(
         TraceRow(

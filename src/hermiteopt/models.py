@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -94,14 +95,6 @@ class QuadraticModel:
         return self.c + D @ self.g + 0.5 * np.einsum("ij,jk,ik->i", D, self.H, D)
 
 
-def model_value(m: QuadraticModel, x: np.ndarray) -> float:
-    return m.value(x)
-
-
-def model_gradient(m: QuadraticModel, x: np.ndarray) -> np.ndarray:
-    return m.gradient(x)
-
-
 @dataclass(frozen=True)
 class WeightScheme:
     """Exponential distance weighting for the regression rows.
@@ -160,6 +153,12 @@ class AssembledSystem:
     @property
     def scaled(self) -> bool:
         return self.col_scale is not None
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD of ``matrix``, computed once and shared by the solve,
+        the Lagrange family and the rank repair."""
+        return np.linalg.svd(self.matrix, full_matrices=False)
 
     @property
     def rows(self) -> int:
@@ -464,20 +463,27 @@ def apply_weighting(sys: AssembledSystem, scheme: WeightScheme, ts: TrainingSet)
     )
 
 
-def solve_raw(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def require_full_rank(shape: tuple[int, int], s: np.ndarray) -> None:
+    """Raise RankDeficient unless a matrix of ``shape`` with singular
+    values ``s`` has full column rank within the tolerance."""
+    if s.size == 0 or s[0] == 0.0:
+        raise RankDeficient("system matrix is zero")
+    if shape[0] < shape[1] or s[-1] <= RANK_TOLERANCE * s[0]:
+        raise RankDeficient(
+            f"column rank below tolerance (sigma ratio {s[-1] / s[0]:.2e})"
+        )
+
+
+def solve_raw(matrix: np.ndarray, rhs: np.ndarray, factors=None) -> np.ndarray:
     """SVD least-squares solve with a hard rank check.
 
+    ``factors`` is the thin SVD of ``matrix`` when the caller has it.
     Raises RankDeficient when the column rank falls below the tolerance;
     callers treat that as a geometry failure rather than silently taking
     a minimum-norm solution.
     """
-    U, s, Vt = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise RankDeficient("system matrix is zero")
-    if matrix.shape[0] < matrix.shape[1] or s[-1] <= RANK_TOLERANCE * s[0]:
-        raise RankDeficient(
-            f"column rank below tolerance (sigma ratio {s[-1] / s[0]:.2e})"
-        )
+    U, s, Vt = np.linalg.svd(matrix, full_matrices=False) if factors is None else factors
+    require_full_rank(matrix.shape, s)
     return Vt.T @ ((U.T @ rhs) / s)
 
 
@@ -498,6 +504,6 @@ def recover_model(sys: AssembledSystem, coefficients: np.ndarray) -> QuadraticMo
 
 def solve_system(sys: AssembledSystem) -> QuadraticModel:
     """Solve the (possibly scaled and weighted) system and recover the model."""
-    w = solve_raw(sys.matrix, sys.rhs)
+    w = solve_raw(sys.matrix, sys.rhs, sys.svd)
     v = sys.col_scale * w if sys.scaled else w
     return recover_model(sys, v)

@@ -7,31 +7,62 @@ unit right-hand sides (least squares or exact, matching how the model
 itself is solved), and the incumbent's polynomial is the complement
 ``1 - sum(others)`` so that constants are reproduced.
 
+A family is held in matrix form: one column of basis coefficients per
+polynomial plus a vector of constants, built from a single
+pseudo-inverse.  Evaluating every polynomial over a sample of points is
+then one matrix product against the sample's basis rows, and
+``QuadraticModel`` objects are made only for the columns a caller uses.
+
 The poisedness constant of a family over a region is estimated as the
 maximum absolute polynomial value over a deterministic sample of the
 region, refined by a few steps of projected ascent.  It is a lower bound
 on the true constant.
+
+Choices between polynomials screen first and confirm second.  The matrix
+product differs from a per-polynomial evaluation in the last bits, and
+symmetric samples hold exact ties, so a choice made on it alone could
+fall on the other side of a tie.  Every column whose screened maximum
+lies within a relative ``TIE_RTOL`` of the best is therefore evaluated
+again one polynomial at a time, and the first polynomial, at its first
+point, with a strictly larger value wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .basis import MonomialBasis
-from .exceptions import RankDeficient
 from .models import (
+    FROBENIUS_KINDS,
     AssembledSystem,
     ModelKind,
     QuadraticModel,
-    RANK_TOLERANCE,
-    recover_model,
+    require_full_rank,
 )
 from .problem import Bounds
 
 LAMBDA_SAMPLE_CAP = 10_000
 POLISH_STEPS = 5
+# sample rows per matrix product; keeps the value block near 0.5 MB
+GEMM_BLOCK = 512
+# screened values this close to the best are re-evaluated exactly
+TIE_RTOL = 1e-9
+
+
+@lru_cache(maxsize=8)
+def _unit_ball_draws(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-seed uniform sample of the unit ball: unit directions and
+    radial factors ``u**(1/n)``.  Shared by every caller, so read-only."""
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((count, n))
+    directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    radial = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
+    directions.flags.writeable = False
+    radial.flags.writeable = False
+    return directions, radial
 
 
 @dataclass(frozen=True)
@@ -88,11 +119,8 @@ class Region:
             # high dimensions: a tensor grid cannot fit under the cap, so
             # sample the ball directly (uniform via normal directions and
             # a radial power law) and keep what lands in the box
-            rng = np.random.default_rng(0)
-            raw = rng.standard_normal((2 * cap, n))
-            directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-            radii = self.radius * rng.uniform(0.0, 1.0, size=(2 * cap, 1)) ** (1.0 / n)
-            pts = self.center + directions * radii
+            directions, radial = _unit_ball_draws(n, 2 * cap)
+            pts = self.center + directions * (self.radius * radial)
         keep = (
             np.all(pts >= lo, axis=1)
             & np.all(pts <= hi, axis=1)
@@ -111,83 +139,119 @@ class PoisednessEstimate:
 
 @dataclass(frozen=True)
 class LagrangeFamily:
-    """One polynomial per training point plus, for Hermite kinds, one per
-    derivative row.  ``point_polys`` is aligned with training indices."""
+    """Lagrange polynomials as the columns of one coefficient matrix.
+
+    Polynomial ``j`` is ``constants[j] + coeffs[:, j] . phi(x - center)``,
+    with ``phi`` the basis row without the constant (linear block, then
+    the packed Hessian).  The first columns belong to the training
+    points, aligned with training indices; the last ``len(row_tags)``
+    belong to the derivative rows those tags name, in system order.
+    """
 
     kind: ModelKind
     center: np.ndarray
-    point_polys: tuple[QuadraticModel, ...]
+    coeffs: np.ndarray
+    constants: np.ndarray
     incumbent_index: int
-    row_polys: tuple[tuple[tuple, QuadraticModel], ...] = ()
+    row_tags: tuple = ()
 
     @property
-    def all_polys(self) -> tuple[QuadraticModel, ...]:
-        return self.point_polys + tuple(p for _, p in self.row_polys)
+    def point_count(self) -> int:
+        return self.coeffs.shape[1] - len(self.row_tags)
+
+    @cached_property
+    def basis(self) -> MonomialBasis:
+        return MonomialBasis(self.center.size)
+
+    def polynomial(self, j: int) -> QuadraticModel:
+        """Column ``j`` as a model object."""
+        n = self.center.size
+        col = self.coeffs[:, j]
+        return QuadraticModel(
+            center=self.center,
+            c=float(self.constants[j]),
+            # contiguous, as BLAS rounds strided dot products differently
+            g=np.array(col[:n]),
+            H=self.basis.unpack_hessian(col[n:]),
+        )
+
+    @property
+    def point_polys(self) -> tuple[QuadraticModel, ...]:
+        return tuple(self.polynomial(j) for j in range(self.point_count))
+
+    @property
+    def row_polys(self) -> tuple[tuple[tuple, QuadraticModel], ...]:
+        first = self.point_count
+        return tuple((tag, self.polynomial(first + k)) for k, tag in enumerate(self.row_tags))
+
+    def values(self, points: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Values of the chosen columns at every point (points x columns),
+        as one matrix product; agrees with ``polynomial(j).value_at`` up
+        to rounding."""
+        phi = self.basis.value_rows(np.atleast_2d(points) - self.center)
+        return phi @ self.coeffs[:, columns] + self.constants[columns]
 
 
 def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
     """Solve the system against every data-row unit vector.
 
-    The solves reuse one SVD.  On an unscaled system the columns are
-    equilibrated first, which leaves exact and least-squares solutions
-    unchanged but keeps the rank check meaningful.  On a scaled system
-    the stored row and column scalings map the unit vectors in and the
-    coefficients back out; for square kinds the polynomials agree with
-    the unscaled solve exactly, for regression kinds they belong to the
-    same row-weighted fit the model itself uses.
+    All solves come from one pseudo-inverse; a scaled system's own SVD is
+    used, so the model solve and the family factor it once.  On an
+    unscaled system the columns are equilibrated first, which leaves
+    exact and least-squares solutions unchanged but keeps the rank check
+    meaningful.  On a scaled system the stored row and column scalings
+    map the unit vectors in and the coefficients back out; for square
+    kinds the polynomials agree with the unscaled solve exactly, for
+    regression kinds they belong to the same row-weighted fit the model
+    itself uses.
     """
     M = sys.matrix
     if sys.scaled:
         col_norm = 1.0 / sys.col_scale
-        Ms = M
+        U, s, Vt = sys.svd
     else:
         col_norm = np.max(np.abs(M), axis=0)
         col_norm[col_norm == 0.0] = 1.0
-        Ms = M / col_norm
-    U, s, Vt = np.linalg.svd(Ms, full_matrices=False)
-    if M.shape[0] < M.shape[1] or s[0] == 0.0 or s[-1] <= RANK_TOLERANCE * s[0]:
-        raise RankDeficient("Lagrange system is rank deficient")
+        U, s, Vt = np.linalg.svd(M / col_norm, full_matrices=False)
+    require_full_rank(M.shape, s)
     pinv = Vt.T @ ((U.T / s[:, None]))  # cols x rows
     coeff = pinv / col_norm[:, None]
     if sys.scaled:
         coeff = coeff * sys.row_scale[None, :]
 
     n = sys.dimension
-    neutral = dc_replace(
-        sys,
-        f_opt=0.0,
-        h_prev=None if sys.h_prev is None else np.zeros((n, n)),
-    )
+    if sys.kind in FROBENIUS_KINDS:
+        # Hessians of every column at once from the rank-one parameterization
+        p = len(sys.value_order)
+        D = sys.shifted_points
+        H = D.T[None] @ (coeff[:p].T[:, :, None] * D[None])
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        coeff = np.vstack([coeff[p : p + n], sys.basis.pack_hessian(H.transpose(1, 2, 0))])
 
-    by_index: dict[int, QuadraticModel] = {}
-    row_polys = []
-    for r, tag in enumerate(sys.row_tags):
-        if tag[0] == "mfn":
-            continue
-        poly = recover_model(neutral, coeff[:, r])
-        if tag[0] == "value":
-            by_index[tag[1]] = poly
-        else:
-            row_polys.append((tag, poly))
+    tags = sys.row_tags
+    point_rows = [r for r, tag in enumerate(tags) if tag[0] == "value"]
+    derivative_rows = [r for r, tag in enumerate(tags) if tag[0] in ("grad", "hess")]
+    count = sys.point_count
+    coeffs = np.empty((coeff.shape[0], count + len(derivative_rows)))
+    coeffs[:, [tags[r][1] for r in point_rows]] = coeff[:, point_rows]
+    coeffs[:, count:] = coeff[:, derivative_rows]
 
-    # the incumbent polynomial is the complement, which reproduces constants
-    others = [by_index[i] for i in sys.value_order]
-    comp = QuadraticModel(
-        center=sys.shift,
-        c=1.0 - sum(p.c for p in others),
-        g=-sum((p.g for p in others), start=np.zeros(n)),
-        H=-sum((p.H for p in others), start=np.zeros((n, n))),
-    )
-    incumbent = next(i for i in range(sys.point_count) if i not in by_index)
-    polys = tuple(
-        comp if i == incumbent else by_index[i] for i in range(sys.point_count)
-    )
+    # the incumbent polynomial is the complement, which reproduces
+    # constants; summed point by point in training order
+    incumbent = next(i for i in range(count) if i not in sys.value_order)
+    total = np.zeros(coeff.shape[0])
+    for i in sys.value_order:
+        total = total + coeffs[:, i]
+    coeffs[:, incumbent] = -total
+    constants = np.zeros(coeffs.shape[1])
+    constants[incumbent] = 1.0
     return LagrangeFamily(
         kind=sys.kind,
         center=sys.shift,
-        point_polys=polys,
+        coeffs=coeffs,
+        constants=constants,
         incumbent_index=incumbent,
-        row_polys=tuple(row_polys),
+        row_tags=tuple(tags[r] for r in derivative_rows),
     )
 
 
@@ -211,18 +275,35 @@ def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region, steps: int
     return x, best
 
 
+def _contenders(screened: np.ndarray) -> np.ndarray:
+    """Indices whose screened value may still be the exact maximum."""
+    top = np.max(screened)
+    return np.flatnonzero(screened >= top - TIE_RTOL * top)
+
+
 def estimate_lambda(
     family: LagrangeFamily,
     region: Region,
     per_axis: int | None = None,
     polish_steps: int = POLISH_STEPS,
 ) -> PoisednessEstimate:
-    """Grid lower bound on the poisedness constant over the region."""
+    """Grid lower bound on the poisedness constant over the region.
+
+    The largest |value| of each column comes from blocked matrix
+    products; the columns near the overall maximum are then evaluated
+    exactly, and the first of them with the largest value (at its first
+    maximizing point) seeds the polish.
+    """
     pts = region.sample(per_axis)
+    screened = np.zeros(family.coeffs.shape[1])
+    for start in range(0, len(pts), GEMM_BLOCK):
+        block = np.abs(family.values(pts[start : start + GEMM_BLOCK]))
+        np.maximum(screened, np.max(block, axis=0), out=screened)
     lam = 0.0
     best_poly = None
     best_pt = None
-    for poly in family.all_polys:
+    for j in _contenders(screened):
+        poly = family.polynomial(j)
         vals = np.abs(poly.value_at(pts))
         k = int(np.argmax(vals))
         if vals[k] > lam:
@@ -236,9 +317,14 @@ def estimate_lambda(
 
 def select_outgoing(family: LagrangeFamily, y_add: np.ndarray) -> int:
     """Index of the point whose Lagrange polynomial is largest (in absolute
-    value) at the candidate point; the incumbent is protected."""
-    vals = np.array([abs(p.value(y_add)) for p in family.point_polys])
-    vals[family.incumbent_index] = -np.inf
+    value) at the candidate point; the incumbent is protected.  Ties go
+    to the lowest index."""
+    count = family.point_count
+    screened = np.abs(family.values(y_add, slice(0, count))[0])
+    screened[family.incumbent_index] = -np.inf
+    vals = np.full(count, -np.inf)
+    for j in _contenders(screened):
+        vals[j] = abs(family.polynomial(j).value(y_add))
     return int(np.argmax(vals))
 
 
@@ -250,7 +336,7 @@ def propose_geometry_point(
     polish_steps: int = POLISH_STEPS,
 ) -> np.ndarray:
     """Point extremizing |l_index| over the region (grid seed plus ascent)."""
-    poly = family.point_polys[index]
+    poly = family.polynomial(index)
     pts = region.sample(per_axis)
     vals = np.abs(poly.value_at(pts))
     seed = pts[int(np.argmax(vals))]

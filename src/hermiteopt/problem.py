@@ -279,8 +279,3 @@ def incumbent(ts: TrainingSet) -> tuple[Vector, float]:
     """Return the incumbent point and its value."""
     rec = ts.incumbent_record
     return rec.point, rec.value
-
-
-def replace_point(ts: TrainingSet, outgoing_index: int, incoming: EvaluationRecord) -> TrainingSet:
-    """Swap one record for another, keeping size constant."""
-    return ts.replace(outgoing_index, incoming)

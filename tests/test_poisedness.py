@@ -6,7 +6,9 @@ from hermiteopt.basis import MonomialBasis
 from hermiteopt.models import (
     ModelKind,
     QuadraticModel,
+    apply_scaling,
     assemble_full_interp,
+    assemble_hermite_bobyqa,
     assemble_hermite_ls,
     assemble_min_frob,
     solve_raw,
@@ -14,6 +16,8 @@ from hermiteopt.models import (
 from hermiteopt.poisedness import (
     LagrangeFamily,
     Region,
+    _polish_abs,
+    _unit_ball_draws,
     derivative_phi_matrix,
     estimate_lambda,
     lagrange_family,
@@ -120,12 +124,13 @@ class TestSelectOutgoing:
             assert select_outgoing(family, rec.point) == j
 
     def test_tie_breaks_lowest_index(self):
+        # three identical constant polynomials: coefficient columns all zero
         center = np.zeros(2)
-        flat = QuadraticModel(center=center, c=0.5, g=np.zeros(2), H=np.zeros((2, 2)))
         family = LagrangeFamily(
             kind=ModelKind.FULL_INTERP,
             center=center,
-            point_polys=(flat, flat, flat),
+            coeffs=np.zeros((5, 3)),
+            constants=np.full(3, 0.5),
             incumbent_index=2,
         )
         assert select_outgoing(family, np.array([3.0, 3.0])) == 0
@@ -150,14 +155,13 @@ class TestSelectOutgoing:
 
 class TestProposeGeometry:
     def test_affine_polynomial_reaches_boundary(self):
+        # one polynomial, l(x) = x_1: its coefficient column is e_1
         center = np.zeros(2)
-        poly = QuadraticModel(
-            center=center, c=0.0, g=np.array([1.0, 0.0]), H=np.zeros((2, 2))
-        )
         family = LagrangeFamily(
             kind=ModelKind.FULL_INTERP,
             center=center,
-            point_polys=(poly,),
+            coeffs=np.array([[1.0], [0.0], [0.0], [0.0], [0.0]]),
+            constants=np.zeros(1),
             incumbent_index=1,
         )
         region = Region(center, 1.0, Bounds.unbounded(2))
@@ -272,6 +276,162 @@ class TestRegressionFamilies:
                     total += rec.gradient[1] * row_poly[("grad", i, 1)].value(x)
                 assert total == pytest.approx(direct.value(x), abs=1e-8)
         assert solved >= 8
+
+
+def all_polys(family):
+    return family.point_polys + tuple(p for _, p in family.row_polys)
+
+
+class TestMatrixForm:
+    """Columns of the coefficient matrix against the polynomials they
+    materialize as."""
+
+    def systems(self):
+        rng = np.random.default_rng(40)
+        n = 3
+        c, g, H, fn, grad = random_quadratic(n, rng)
+
+        def hess(x):
+            return H
+
+        full = build_training_set(poised_points(n, 10, rng), fn)
+        frob = build_training_set(poised_points(n, 7, rng), fn, grad, (1, 3))
+        second = build_training_set(
+            poised_points(n, 5, rng), fn, grad, (2,), hess, ((1, 1), (1, 3))
+        )
+        h_prev = np.eye(n)
+        return {
+            "full-interp": assemble_full_interp(full),
+            "bobyqa": assemble_min_frob(frob, h_prev),
+            "hermite-ls": assemble_hermite_ls(
+                second, availability((2,), ((1, 1), (1, 3))), include_second_order=True
+            ),
+            "hermite-bobyqa": assemble_hermite_bobyqa(frob, availability((1, 3)), h_prev),
+        }
+
+    @pytest.mark.parametrize("kind", ["full-interp", "bobyqa", "hermite-ls", "hermite-bobyqa"])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_columns_match_polynomials(self, kind, scaled):
+        sys = self.systems()[kind]
+        if scaled:
+            sys = apply_scaling(sys, 0.3)
+        family = lagrange_family(sys)
+        polys = all_polys(family)
+        tags = [tag[0] for tag, _ in family.row_polys]
+        if kind == "hermite-ls":
+            assert "hess" in tags and "grad" in tags
+        if kind == "hermite-bobyqa":
+            assert tags and set(tags) == {"grad"}
+        assert family.coeffs.shape[1] == len(polys) == family.point_count + len(tags)
+        rng = np.random.default_rng(41)
+        pts = sys.shift + rng.uniform(-1.0, 1.0, size=(300, sys.dimension))
+        exact = np.column_stack([p.value_at(pts) for p in polys])
+        np.testing.assert_allclose(family.values(pts), exact, rtol=1e-12, atol=0)
+
+
+def symmetric_family(points, directions=(), delta=None):
+    """Lagrange family of a point set with mirror symmetry; the origin is
+    the incumbent, so polynomials of mirrored points tie exactly."""
+    ts = build_training_set(points, lambda x: float(x @ x), lambda x: 2 * x, directions)
+    if directions:
+        sys = assemble_hermite_ls(ts, availability(directions))
+    else:
+        sys = assemble_full_interp(ts)
+    return lagrange_family(sys if delta is None else apply_scaling(sys, delta))
+
+
+class TestExactTies:
+    """Symmetric sets on symmetric grids hold exact ties, where the one
+    matrix product and the per-polynomial evaluation can disagree in the
+    last bit.  Every choice must be the per-polynomial one: first
+    polynomial, then first point, with a strictly larger value."""
+
+    CROSS = [[0.0, 0.0], [1.3, 0.0], [-1.3, 0.0], [0.0, 0.5], [0.0, -0.5]]
+    CORNERS = [[0.0, 0.0], [0.9, 0.8], [-0.9, 0.8], [0.9, -0.8], [-0.9, -0.8]]
+    CASES = [
+        (CROSS, (2,), 1.0, 1.5),
+        (CROSS, (2,), None, 1.0),
+        (CORNERS, (1,), 1.0, 0.8),
+        (CORNERS, (1,), None, 1.0),
+        ([[0.0, 0.0], [0.3, 0.5], [-0.3, 0.5], [0.3, -0.5], [-0.3, -0.5]], (1,), None, 1.5),
+        ([[0.0, 0.0], [1.3, 0.0], [-1.3, 0.0], [0.0, 1.0], [0.0, -1.0], [1.3, 1.0]], (), None, 1.0),
+        ([[0.0, 0.0], [0.3, 0.0], [-0.3, 0.0], [0.0, 0.5], [0.0, -0.5], [0.3, 0.5]], (), 0.5, 1.5),
+    ]
+
+    @pytest.mark.parametrize("points, directions, delta, radius", CASES)
+    @pytest.mark.parametrize("per_axis", [5, 9, 21])
+    def test_estimate_lambda_matches_brute_force(self, points, directions, delta, radius, per_axis):
+        family = symmetric_family(points, directions, delta)
+        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
+        pts = region.sample(per_axis)
+        lam, best = 0.0, None
+        for poly in all_polys(family):
+            vals = np.abs(poly.value_at(pts))
+            k = int(np.argmax(vals))
+            if vals[k] > lam:
+                lam, best = float(vals[k]), (poly, pts[k])
+        assert estimate_lambda(family, region, per_axis, polish_steps=0).lam == lam
+        polished = max(lam, _polish_abs(best[0], best[1], region, 5)[1])
+        assert estimate_lambda(family, region, per_axis).lam == polished
+
+    @pytest.mark.parametrize("points, directions, delta, radius", CASES)
+    def test_select_outgoing_matches_brute_force(self, points, directions, delta, radius):
+        family = symmetric_family(points, directions, delta)
+        for y in Region(np.zeros(2), 1.5, Bounds.unbounded(2)).sample(41):
+            vals = np.array([abs(p.value(y)) for p in family.point_polys])
+            vals[family.incumbent_index] = -np.inf
+            assert select_outgoing(family, y) == int(np.argmax(vals))
+
+    @pytest.mark.parametrize("points, directions, delta, radius", CASES)
+    @pytest.mark.parametrize("per_axis", [9, 21])
+    def test_proposal_matches_brute_force(self, points, directions, delta, radius, per_axis):
+        family = symmetric_family(points, directions, delta)
+        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
+        pts = region.sample(per_axis)
+        for index, poly in enumerate(family.point_polys):
+            seed = pts[int(np.argmax(np.abs(poly.value_at(pts))))]
+            expected = region.project(_polish_abs(poly, seed, region, 5)[0])
+            proposal = propose_geometry_point(family, index, region, per_axis)
+            assert np.array_equal(proposal, expected)
+
+
+class TestRegionSample:
+    @staticmethod
+    def fresh_draw(region, cap):
+        n = region.center.size
+        rng = np.random.default_rng(0)
+        raw = rng.standard_normal((2 * cap, n))
+        directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        radii = region.radius * rng.uniform(0.0, 1.0, size=(2 * cap, 1)) ** (1.0 / n)
+        pts = region.center + directions * radii
+        lo, hi = region.box
+        keep = (
+            np.all(pts >= lo, axis=1)
+            & np.all(pts <= hi, axis=1)
+            & (np.linalg.norm(pts - region.center, axis=1) <= region.radius * (1 + 1e-9))
+        )
+        return np.vstack([region.center, pts[keep][:cap]])
+
+    @pytest.mark.parametrize("n, cap", [(6, 500), (10, 10_000)])
+    def test_cached_ball_sample_equals_fresh_draw(self, n, cap):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            center = rng.normal(size=n)
+            bounds = Bounds(center - rng.uniform(0.1, 1.0, n), center + rng.uniform(0.1, 1.0, n))
+            region = Region(center, float(rng.uniform(0.2, 1.0)), bounds)
+            pts = region.sample(cap=cap)
+            assert len(pts) < (2 * n + 1) ** n  # the ball branch, not a grid
+            assert np.array_equal(pts, self.fresh_draw(region, cap))
+
+    def test_cache_is_read_only(self):
+        region = Region(np.zeros(10), 1.0, Bounds.unbounded(10))
+        first = region.sample()
+        for draw in _unit_ball_draws(10, 20_000):
+            assert not draw.flags.writeable
+            with pytest.raises(ValueError):
+                draw[0] = 0.0
+        first[:] = 7.0
+        assert np.array_equal(region.sample(), self.fresh_draw(region, 10_000))
 
 
 class TestTheorem1:

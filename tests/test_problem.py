@@ -18,7 +18,6 @@ from hermiteopt.problem import (
     evaluate,
     incumbent,
     points_equal,
-    replace_point,
 )
 from hermiteopt.testbed import mask_availability, rosenbrock
 
@@ -151,29 +150,29 @@ class TestTrainingSet:
             [record([0, 0], 3.0), record([1, 0], 1.0), record([0, 1], 2.0)]
         )
         better = record([2, 2], 0.5)
-        ts2 = replace_point(ts, 0, better)
+        ts2 = ts.replace(0, better)
         assert ts2.incumbent_index == 0
         assert ts2.size == ts.size
         worse = record([3, 3], 9.0)
-        ts3 = replace_point(ts, 2, worse)
+        ts3 = ts.replace(2, worse)
         assert ts3.incumbent_index == 1
 
     def test_replace_duplicate_rejected(self):
         ts = TrainingSet.from_records([record([0, 0], 1.0), record([1, 0], 2.0)])
         with pytest.raises(DuplicatePoint):
-            replace_point(ts, 1, record([0, 0], 5.0))
+            ts.replace(1, record([0, 0], 5.0))
 
     def test_replace_bad_index(self):
         ts = TrainingSet.from_records([record([0, 0], 1.0)])
         with pytest.raises(IndexError):
-            replace_point(ts, 5, record([1, 1], 0.0))
+            ts.replace(5, record([1, 1], 0.0))
 
     def test_incumbent_recomputed_below_current(self):
         # recompute argmin by scan after a replacement lowers a value
         rng = np.random.default_rng(3)
         records = [record(rng.uniform(size=2), v) for v in (4.0, 2.0, 3.0)]
         ts = TrainingSet.from_records(records)
-        ts = replace_point(ts, 2, record([9, 9], 0.25))
+        ts = ts.replace(2, record([9, 9], 0.25))
         values = [r.value for r in ts.records]
         assert ts.incumbent_index == int(np.argmin(values))
 
