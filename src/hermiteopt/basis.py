@@ -16,7 +16,21 @@ the problem layer are converted by the assembly code.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=64)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper-triangle pair order (0,0), (0,1), ..., (0,n-1), (1,1), ...
+    as row and column index arrays plus the mask of squares; shared by
+    every basis of dimension ``n``, so read-only."""
+    ii, jj = np.triu_indices(n)
+    diag = ii == jj
+    for a in (ii, jj, diag):
+        a.flags.writeable = False
+    return ii, jj, diag
 
 
 class MonomialBasis:
@@ -25,9 +39,7 @@ class MonomialBasis:
             raise ValueError("dimension must be positive")
         self.n = int(dimension)
         self.q1 = (self.n + 1) * (self.n + 2) // 2
-        # upper-triangle pair order (0,0), (0,1), ..., (0,n-1), (1,1), ...
-        self._ii, self._jj = np.triu_indices(self.n)
-        self._diag = self._ii == self._jj
+        self._ii, self._jj, self._diag = _pair_indices(self.n)
 
     @property
     def size(self) -> int:
@@ -68,6 +80,19 @@ class MonomialBasis:
         # the 1/2 on squares turns the doubled diagonal term back into z_axis
         quad[self._diag] *= 0.5
         return np.concatenate([lin, quad])
+
+    def derivative_rows(self, Z: np.ndarray, axes) -> np.ndarray:
+        """``derivative_row`` of every row of ``Z`` along every axis in
+        ``axes``, point-major (all axes of the first point, then the
+        next point, ...), with the same elementwise arithmetic."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        axes = np.asarray(axes, dtype=int)
+        shape = (Z.shape[0], axes.size)
+        ii, jj = self._ii, self._jj
+        quad = (ii == axes[:, None]) * Z[:, None, jj] + (jj == axes[:, None]) * Z[:, None, ii]
+        quad[..., self._diag] *= 0.5
+        lin = np.broadcast_to(np.eye(self.n)[axes], shape + (self.n,))
+        return np.concatenate([lin, quad], axis=2).reshape(-1, self.q1 - 1)
 
     def second_derivative_row(self, pair: tuple[int, int]) -> np.ndarray:
         """Second derivative row for ``pair``; constant in the point.

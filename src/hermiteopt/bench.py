@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -238,7 +237,6 @@ def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
         max_evaluations=plan.budget,
         weighting=plan.weighting,
         second_order=plan.second_order,
-        seed=case.seed,
     )
     result = run(spec, entry.x_start, config)
     f_final = entry.reference_value(result.x_best)
@@ -265,6 +263,11 @@ def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
     }
 
 
+def _run_planned(case: PlanCase, plan: ExperimentPlan) -> dict:
+    """One run of a plan; module-level so worker processes can import it."""
+    return _run_case(case, plan, registry()[case.problem])
+
+
 def run_plan(
     plan: ExperimentPlan,
     out_path: str | Path,
@@ -273,20 +276,26 @@ def run_plan(
 ) -> list[dict]:
     """Execute every run of the plan and write the results CSV.
 
-    Rows are ordered by plan index regardless of worker scheduling, so a
-    fixed plan and seeds reproduce the file byte for byte.
+    Runs are CPU-bound numpy work, so ``workers > 1`` spreads them over
+    that many spawned processes; a script that does so must guard its
+    entry point with ``if __name__ == "__main__":``.  Rows are ordered by
+    plan index regardless of worker scheduling, so a fixed plan and seeds
+    reproduce the file byte for byte.
     """
-    cases = registry()
     expanded = expand_plan(plan)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and expanded:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(lambda c: _run_case(c, plan, cases[c.problem]), expanded)
-            )
+        # imported here: multiprocessing adds about 1 MB and some import
+        # time to every process that loads the package
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, len(expanded)), mp_context=spawn) as pool:
+            rows = list(pool.map(_run_planned, expanded, [plan] * len(expanded)))
     else:
-        rows = [_run_case(c, plan, cases[c.problem]) for c in expanded]
+        rows = [_run_planned(c, plan) for c in expanded]
 
     out_path = Path(out_path)
     with out_path.open("w", newline="") as fh:

@@ -99,7 +99,6 @@ def _cmd_trace(args) -> int:
         max_evaluations=args.budget,
         weighting=args.weighting,
         second_order=args.second_order,
-        seed=args.seed[0],
         model_error_diagnostic=args.diagnostic,
     )
     result = run(spec, entry.x_start, config)

@@ -52,7 +52,7 @@ from .problem import (
     TrainingSet,
     evaluate,
     incumbent,
-    points_equal,
+    rows_equal,
 )
 from .subproblem import solve_subproblem
 
@@ -80,7 +80,6 @@ class SolverConfig:
     weighting: bool = False
     weight_scale: float = 5.0
     second_order: bool = False
-    seed: int = 0
     lambda_threshold: float = 100.0
     stale_factor: float = 8.0
     model_error_diagnostic: bool = False
@@ -221,8 +220,8 @@ def ratio_test(f_old: float, f_new: float, m_old: float, m_new: float) -> float:
     return (f_old - f_new) / predicted_decrease(f_old, m_old, m_new)
 
 
-def _is_distinct(point: np.ndarray, ts: TrainingSet) -> bool:
-    return all(not points_equal(point, rec.point) for rec in ts.records)
+def _is_distinct(point: np.ndarray, points: np.ndarray) -> bool:
+    return not np.any(rows_equal(points, point))
 
 
 def _coordinate_point(x0, delta, axis, sign, bounds, existing):
@@ -246,7 +245,7 @@ def _coordinate_point(x0, delta, axis, sign, bounds, existing):
             continue
         cand = x0.copy()
         cand[axis] = value
-        if all(not points_equal(cand, q) for q in existing):
+        if _is_distinct(cand, np.array(existing)):
             return cand
     raise ValueError(f"cannot place a distinct initial point along axis {axis}")
 
@@ -256,7 +255,7 @@ def _diagonal_point(x0, delta, i, j, bounds, existing):
     off[i] = off[j] = delta / math.sqrt(2.0)
     for direction in (off, -off, off * 0.5, -off * 0.5):
         cand = bounds.clip(x0 + direction)
-        if all(not points_equal(cand, q) for q in existing):
+        if _is_distinct(cand, np.array(existing)):
             return cand
     raise ValueError("cannot place a distinct diagonal initial point")
 
@@ -378,10 +377,13 @@ def _null_space_score(sys, null: np.ndarray, cand: np.ndarray, delta: float) -> 
     """How strongly the rows a candidate point would contribute overlap
     the null space of the (scaled) system; larger lifts the rank more."""
     z = cand - sys.shift
-    rows = [sys.basis.value_row(z) * sys.col_scale]
-    directions = sorted({tag[2] for tag in sys.row_tags if tag[0] == "grad"})
-    for d in directions:
-        rows.append(sys.basis.derivative_row(z, d - 1) * sys.col_scale * delta)
+    axes = sorted({tag[2] - 1 for tag in sys.row_tags if tag[0] == "grad"})
+    rows = np.vstack(
+        [
+            sys.basis.value_row(z) * sys.col_scale,
+            sys.basis.derivative_rows(z, axes) * sys.col_scale * delta,
+        ]
+    )
     score = 0.0
     for row in rows:
         norm = float(np.linalg.norm(row))
@@ -428,22 +430,13 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), sta
     target = next((i for i in order if i not in skip), None)
     if target is None:
         return ts, None
-    points = ts.points
-    point_scale = np.maximum(1.0, np.max(np.abs(points), axis=1))
-
-    def distinct(cand):
-        tol = 1e-14 * np.maximum(point_scale, np.max(np.abs(cand)))
-        return bool(np.all(np.max(np.abs(points - cand), axis=1) >= tol))
-
-    candidates = []
+    directions = np.array(list(_repair_candidates(ts.dimension, Vt[-1])))
     for scale in (1.0, 0.5, 0.25):
-        for direction in _repair_candidates(ts.dimension, Vt[-1]):
-            cand = spec.bounds.clip(x_opt + scale * delta * direction)
-            if distinct(cand):
-                candidates.append(cand)
-        if candidates:
+        candidates = spec.bounds.clip(x_opt + scale * delta * directions)
+        candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
+        if len(candidates):
             break
-    if not candidates:
+    else:
         return ts, None
     if sys_scaled.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
         null = _null_basis(sys_scaled)
@@ -502,7 +495,7 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
         stale = far_dist > config.stale_factor * delta
         if stale or estimate_lambda(family, region).lam > config.lambda_threshold:
             proposal = propose_geometry_point(family, far, region)
-            if _is_distinct(proposal, state.ts):
+            if _is_distinct(proposal, state.ts.points):
                 state.ts = state.ts.replace(far, evaluator(proposal))
     except RankDeficient:
         pass
@@ -567,7 +560,8 @@ def step_iteration(
         )
 
     step = solve_subproblem(model, x_opt, delta, spec.bounds)
-    if float(np.linalg.norm(step)) < config.step_tiny:
+    step_norm = math.sqrt(float(step.dot(step)))
+    if step_norm < config.step_tiny:
         return TerminationReason.STEP_SIZE_TINY
 
     try:
@@ -584,7 +578,6 @@ def step_iteration(
     r = (f_opt - rec.value) / decrease
     accepted = r >= config.eta1
 
-    step_norm = float(np.linalg.norm(step))
     if accepted:
         try:
             outgoing = select_outgoing(lagrange_family(sys_scaled), trial)

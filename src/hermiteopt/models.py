@@ -195,7 +195,7 @@ def assemble_full_interp(ts: TrainingSet) -> AssembledSystem:
         )
     shift, order, D = _shifted_non_incumbent(ts)
     f_opt = ts.incumbent_record.value
-    matrix = np.array([basis.value_row(d) for d in D])
+    matrix = basis.value_rows(D)
     rhs = np.array([ts.records[i].value - f_opt for i in order])
     tags = tuple(("value", i) for i in order)
     return AssembledSystem(
@@ -293,29 +293,29 @@ def assemble_hermite_ls(
     shift, order, D = _shifted_non_incumbent(ts)
     f_opt = ts.incumbent_record.value
 
-    rows = [basis.value_row(d) for d in D]
     rhs = [ts.records[i].value - f_opt for i in order]
     tags = [("value", i) for i in order]
-
-    for i in range(ts.size):
-        rec = ts.records[i]
-        z = rec.point - shift
+    for i, rec in enumerate(ts.records):
         for direction in directions:
-            rows.append(basis.derivative_row(z, direction - 1))
             rhs.append(_require_gradient_entry(rec, direction, i))
             tags.append(("grad", i, direction))
-    for i in range(ts.size):
-        rec = ts.records[i]
+    for i, rec in enumerate(ts.records):
         for pair in pairs:
             if pair not in rec.second:
                 raise MissingDerivative(
                     f"record {i} lacks the second derivative for pair {pair}"
                 )
-            rows.append(basis.second_derivative_row((pair[0] - 1, pair[1] - 1)))
             rhs.append(rec.second[pair])
             tags.append(("hess", i, pair))
 
-    matrix = np.array(rows)
+    blocks = [
+        basis.value_rows(D),
+        basis.derivative_rows(ts.points - shift, [d - 1 for d in directions]),
+    ]
+    if pairs:
+        hess = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
+        blocks.append(np.tile(hess, (ts.size, 1)))
+    matrix = np.vstack(blocks)
     if matrix.shape[0] < basis.q1 - 1:
         raise Underdetermined(
             f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients"
@@ -355,32 +355,32 @@ def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -
     shift, order, D, base_matrix, base_rhs, base_tags, f_opt = _min_frob_blocks(ts, h_prev)
     p = len(order)
 
-    rows = []
-    rhs = []
-    tags = []
-    for j in range(ts.size):
-        rec = ts.records[j]
-        dj = rec.point - shift
-        inner = D @ dj
-        block = D * inner[:, None]  # block[i, l] = (C^i dj)_l
-        correction = h_prev @ dj
-        for direction in directions:
-            axis = direction - 1
-            row = np.zeros(p + n)
-            row[:p] = block[:, axis]
-            row[p + axis] = 1.0
-            rows.append(row)
-            rhs.append(_require_gradient_entry(rec, direction, j) - correction[axis])
-            tags.append(("grad", j, direction))
+    axes = np.array([d - 1 for d in directions])
+    # D @ d_j and h_prev @ d_j for every point j as stacked matrix-vector
+    # products, which numpy runs one GEMV per point; one GEMM over all
+    # points would round differently
+    P = (ts.points - shift)[:, :, None]
+    inner = (D[None] @ P)[:, None, :, 0]
+    correction = (h_prev[None] @ P)[:, axes, 0]
+    # row (j, l): sum_i v_i (C^i d_j)_l + g_l, with (C^i d_j)_l = D[i, l] (d_i . d_j)
+    grad_rows = np.zeros((ts.size, axes.size, p + n))
+    grad_rows[:, :, :p] = D.T[axes][None] * inner
+    grad_rows[:, np.arange(axes.size), p + axes] = 1.0
+    entries = [
+        [_require_gradient_entry(rec, direction, j) for direction in directions]
+        for j, rec in enumerate(ts.records)
+    ]
+    rhs = (np.array(entries) - correction).ravel()
+    tags = tuple(("grad", j, direction) for j in range(ts.size) for direction in directions)
 
-    matrix = np.vstack([base_matrix, np.array(rows)])
+    matrix = np.vstack([base_matrix, grad_rows.reshape(-1, p + n)])
     return AssembledSystem(
         kind=ModelKind.HERMITE_BOBYQA,
         matrix=matrix,
-        rhs=np.concatenate([base_rhs, np.array(rhs)]),
+        rhs=np.concatenate([base_rhs, rhs]),
         shift=shift,
         f_opt=f_opt,
-        row_tags=base_tags + tuple(tags),
+        row_tags=base_tags + tags,
         value_order=order,
         point_count=ts.size,
         dimension=n,

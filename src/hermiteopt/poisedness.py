@@ -50,6 +50,8 @@ POLISH_STEPS = 5
 GEMM_BLOCK = 512
 # screened values this close to the best are re-evaluated exactly
 TIE_RTOL = 1e-9
+# numpy sums rows shorter than this left to right (longer ones pairwise)
+SUM_IN_ORDER = 8
 
 
 @lru_cache(maxsize=8)
@@ -103,31 +105,59 @@ class Region:
 
         A tensor grid of ``per_axis`` points per dimension is used while it
         fits under ``cap``; otherwise a fixed-seed uniform sample of the
-        ball-box intersection stands in.
+        ball-box intersection stands in.  The default sample is drawn
+        once per region and shared by every caller, so samples are
+        read-only.
         """
+        if per_axis is None and cap == LAMBDA_SAMPLE_CAP:
+            return self._default_sample
+        return self._draw(per_axis, cap)
+
+    @cached_property
+    def _default_sample(self) -> np.ndarray:
+        return self._draw(None, LAMBDA_SAMPLE_CAP)
+
+    def _draw(self, per_axis: int | None, cap: int) -> np.ndarray:
         n = self.center.size
         lo, hi = self.box
         if per_axis is None:
             per_axis = max(3, min(2 * n + 1, int(cap ** (1.0 / n))))
             if per_axis % 2 == 0:
                 per_axis -= 1
+        reach = self.radius * (1 + 1e-9)
         if per_axis**n <= cap:
+            # the box test is a product over axes, so it runs per axis
+            # before the grid is formed; the grid keeps its ij order
             axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(n)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            axes = [a[(a >= lo[i]) & (a <= hi[i])] for i, a in enumerate(axes)]
+            if n < SUM_IN_ORDER:
+                # squared distances summed axis by axis on the grid's
+                # shape, the order numpy sums a row this short in, so
+                # the test is the row-norm test without forming the grid
+                sq = np.zeros(())
+                for a, c in zip(axes, self.center):
+                    d = a - c
+                    sq = sq[..., None] + d * d
+                inside = np.nonzero(np.sqrt(sq) <= reach)
+                pts = np.column_stack([a[k] for a, k in zip(axes, inside)])
+            else:
+                mesh = np.meshgrid(*axes, indexing="ij")
+                pts = np.stack([m.ravel() for m in mesh], axis=1)
+                pts = pts[np.linalg.norm(pts - self.center, axis=1) <= reach]
         else:
             # high dimensions: a tensor grid cannot fit under the cap, so
             # sample the ball directly (uniform via normal directions and
             # a radial power law) and keep what lands in the box
             directions, radial = _unit_ball_draws(n, 2 * cap)
             pts = self.center + directions * (self.radius * radial)
-        keep = (
-            np.all(pts >= lo, axis=1)
-            & np.all(pts <= hi, axis=1)
-            & (np.linalg.norm(pts - self.center, axis=1) <= self.radius * (1 + 1e-9))
-        )
-        pts = pts[keep][:cap]
-        return np.vstack([self.center, pts])
+            pts = pts[
+                np.all(pts >= lo, axis=1)
+                & np.all(pts <= hi, axis=1)
+                & (np.linalg.norm(pts - self.center, axis=1) <= reach)
+            ]
+        pts = np.vstack([self.center, pts[:cap]])
+        pts.flags.writeable = False
+        return pts
 
 
 @dataclass(frozen=True)
@@ -350,8 +380,8 @@ def propose_geometry_point(
 
 def phi_matrix(points: np.ndarray, center: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     """Full basis rows (constant included) at shifted points."""
-    rows = [np.concatenate([[1.0], basis.value_row(p - center)]) for p in np.atleast_2d(points)]
-    return np.array(rows)
+    rows = basis.value_rows(np.atleast_2d(points) - center)
+    return np.hstack([np.ones((rows.shape[0], 1)), rows])
 
 
 def derivative_phi_matrix(
@@ -362,12 +392,8 @@ def derivative_phi_matrix(
 ) -> np.ndarray:
     """Full-basis derivative rows, point-major over the given 1-based
     directions; the constant column differentiates to zero."""
-    rows = []
-    for p in np.atleast_2d(points):
-        z = p - center
-        for direction in directions:
-            rows.append(np.concatenate([[0.0], basis.derivative_row(z, direction - 1)]))
-    return np.array(rows)
+    rows = basis.derivative_rows(np.atleast_2d(points) - center, [d - 1 for d in directions])
+    return np.hstack([np.zeros((rows.shape[0], 1)), rows])
 
 
 def lambda_from_matrix(matrix: np.ndarray, phi_grid: np.ndarray) -> float:

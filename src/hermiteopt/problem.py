@@ -8,6 +8,7 @@ are index pairs ``(i, j)`` stored with ``i <= j``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,16 @@ def points_equal(a: Vector, b: Vector) -> bool:
     is below ``1e-14 * max(1, scale)`` with scale the larger point norm."""
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b))) < 1e-14 * scale
+
+
+def rows_equal(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``points_equal(p, y)`` for every row ``p`` of ``points``, as one
+    array test with the same formula.  For one point ``x`` the result has
+    one entry per row; for a stack of points, one row per point."""
+    x = np.asarray(x, dtype=float)
+    x_scale = np.maximum(1.0, np.max(np.abs(x), axis=-1))[..., None]
+    scale = np.maximum(np.max(np.abs(points), axis=1), x_scale)
+    return np.max(np.abs(points - x[..., None, :]), axis=-1) < 1e-14 * scale
 
 
 @dataclass(frozen=True)
@@ -236,11 +247,12 @@ class TrainingSet:
         records = tuple(records)
         if not records:
             raise EmptySet("a training set needs at least one record")
-        for a in range(len(records)):
-            for b in range(a + 1, len(records)):
-                if points_equal(records[a].point, records[b].point):
-                    raise DuplicatePoint(f"records {a} and {b} coincide")
-        return cls(records, _argmin_earliest([r.value for r in records]))
+        ts = cls(records, _argmin_earliest([r.value for r in records]))
+        pairs = np.argwhere(np.triu(rows_equal(ts.points, ts.points), k=1))
+        if pairs.size:
+            a, b = pairs[0]
+            raise DuplicatePoint(f"records {a} and {b} coincide")
+        return ts
 
     @property
     def size(self) -> int:
@@ -250,9 +262,12 @@ class TrainingSet:
     def dimension(self) -> int:
         return self.records[0].point.size
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.array([r.point for r in self.records])
+        """Record points as rows; computed once per set, so read-only."""
+        pts = np.array([r.point for r in self.records])
+        pts.flags.writeable = False
+        return pts
 
     @property
     def values(self) -> np.ndarray:
@@ -265,11 +280,10 @@ class TrainingSet:
     def replace(self, outgoing_index: int, incoming: EvaluationRecord) -> "TrainingSet":
         if not 0 <= outgoing_index < self.size:
             raise IndexError(f"index {outgoing_index} outside training set")
-        for i, rec in enumerate(self.records):
-            if i == outgoing_index:
-                continue
-            if points_equal(rec.point, incoming.point):
-                raise DuplicatePoint("incoming point coincides with a retained one")
+        clash = rows_equal(self.points, incoming.point)
+        clash[outgoing_index] = False
+        if np.any(clash):
+            raise DuplicatePoint("incoming point coincides with a retained one")
         records = list(self.records)
         records[outgoing_index] = incoming
         return TrainingSet(tuple(records), _argmin_earliest([r.value for r in records]))

@@ -6,14 +6,25 @@ to a generalized Cauchy point, then refines with conjugate-gradient
 iterations restricted to the free variables, truncating at whichever of
 the ball or the box is hit first.  Everything is deterministic and the
 returned step never does worse than the Cauchy point.
+
+Vector norms are taken as ``sqrt(v . v)``, the formula numpy's
+``linalg.norm`` uses for a real 1-D array, so they round identically at a
+fraction of the call cost.  Products use ``ndarray.dot``, which calls the
+same BLAS routines as ``@`` with less dispatch per call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .models import QuadraticModel
 from .problem import Bounds
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v.dot(v)))
 
 
 def projected_gradient(g: np.ndarray, step_lo: np.ndarray, step_hi: np.ndarray) -> np.ndarray:
@@ -25,20 +36,20 @@ def projected_gradient(g: np.ndarray, step_lo: np.ndarray, step_hi: np.ndarray) 
 def cauchy_decrease_bound(g, H, delta, step_lo, step_hi) -> float:
     """Model decrease guaranteed when the box does not crowd the center."""
     pg = projected_gradient(g, step_lo, step_hi)
-    norm_pg = float(np.linalg.norm(pg))
+    norm_pg = _norm(pg)
     norm_h = float(np.linalg.norm(H, 2)) if norm_pg > 0 else 0.0
     return 0.5 * norm_pg * min(delta, norm_pg / (1.0 + norm_h))
 
 
 def _ball_step(s: np.ndarray, d: np.ndarray, delta: float) -> float:
     """Largest tau >= 0 with ||s + tau d|| <= delta (s inside the ball)."""
-    a = float(d @ d)
+    a = float(d.dot(d))
     if a == 0.0:
         return np.inf
-    b = 2.0 * float(s @ d)
-    c = float(s @ s) - delta**2
+    b = 2.0 * float(s.dot(d))
+    c = float(s.dot(s)) - delta**2
     disc = max(b * b - 4.0 * a * c, 0.0)
-    return max((-b + np.sqrt(disc)) / (2.0 * a), 0.0)
+    return max((-b + math.sqrt(disc)) / (2.0 * a), 0.0)
 
 
 def _box_step(s: np.ndarray, d: np.ndarray, step_lo: np.ndarray, step_hi: np.ndarray) -> float:
@@ -71,10 +82,10 @@ def _cauchy_path(g, H, delta, step_lo, step_hi) -> np.ndarray:
         d[t_break <= t_cur] = 0.0
         if not np.any(d):
             break
-        slope = float((g + H @ s) @ d)
+        slope = float((g + H.dot(s)).dot(d))
         if slope >= 0.0:
             break
-        curv = float(d @ H @ d)
+        curv = float(d.dot(H).dot(d))
         tau_ball = _ball_step(s, d, delta)
         tau_max = min(t_next - t_cur, tau_ball)
         if curv > 0.0:
@@ -99,25 +110,25 @@ def _max_feasible_step(s, d, delta, step_lo, step_hi) -> tuple[float, bool]:
 def _cg_refine(g, H, delta, step_lo, step_hi, s0, rounds: int = 4) -> np.ndarray:
     n = g.size
     s = np.array(s0, dtype=float)
-    gnorm = max(1.0, float(np.linalg.norm(g)))
+    gnorm = max(1.0, _norm(g))
     for _ in range(rounds):
-        grad_s = g + H @ s
+        grad_s = g + H.dot(s)
         atol = 1e-11 * np.maximum(1.0, np.abs(s))
         pinned = ((s <= step_lo + atol) & (grad_s > 0)) | (
             (s >= step_hi - atol) & (grad_s < 0)
         )
         r = np.where(pinned, 0.0, -grad_s)
-        if float(np.linalg.norm(r)) <= 1e-13 * gnorm:
+        if _norm(r) <= 1e-13 * gnorm:
             break
         p = r.copy()
-        rr = float(r @ r)
+        rr = float(r.dot(r))
         ball_hit = False
         box_hit = False
         for _ in range(4 * n):
-            Hp = H @ p
+            Hp = H.dot(p)
             Hp[pinned] = 0.0
-            curv = float(p @ Hp)
-            if curv <= 1e-14 * float(p @ p):
+            curv = float(p.dot(Hp))
+            if curv <= 1e-14 * float(p.dot(p)):
                 tau, ball_hit = _max_feasible_step(s, p, delta, step_lo, step_hi)
                 if np.isfinite(tau) and tau > 0:
                     s = s + tau * p
@@ -133,8 +144,8 @@ def _cg_refine(g, H, delta, step_lo, step_hi, s0, rounds: int = 4) -> np.ndarray
             s = s + alpha * p
             r = r - alpha * Hp
             r[pinned] = 0.0
-            rr_new = float(r @ r)
-            if np.sqrt(rr_new) <= 1e-13 * gnorm:
+            rr_new = float(r.dot(r))
+            if math.sqrt(rr_new) <= 1e-13 * gnorm:
                 break
             p = r + (rr_new / rr) * p
             rr = rr_new
@@ -146,42 +157,47 @@ def _cg_refine(g, H, delta, step_lo, step_hi, s0, rounds: int = 4) -> np.ndarray
 def _boundary_polish(g, H, delta, step_lo, step_hi, s, iters: int = 25) -> np.ndarray:
     """Tangential descent along the ball boundary; truncated conjugate
     gradients stop at the first boundary hit, which can sit well away
-    from the constrained minimizer."""
+    from the constrained minimizer.
+
+    Only accepted tries move ``cur``, and each lowers the model, so the
+    last point is the best one.  The tangent and the stop test depend on
+    ``cur`` alone and are recomputed only when it moves."""
 
     def q(v):
-        return float(g @ v + 0.5 * v @ H @ v)
+        return float(g.dot(v) + (0.5 * v).dot(H).dot(v))
 
     cur = np.array(s, dtype=float)
-    best = cur.copy()
-    best_q = q(cur)
+    q_cur = q(cur)
     rel_step = 0.5
+    moved = True
     for _ in range(iters):
-        norm = float(np.linalg.norm(cur))
-        if norm < 1e-15:
-            break
-        outward = cur / norm
-        grad = g + H @ cur
-        tang = grad - (grad @ outward) * outward
-        tn = float(np.linalg.norm(tang))
-        if tn <= 1e-14 * max(1.0, float(np.linalg.norm(grad))):
-            break
+        if moved:
+            norm = _norm(cur)
+            if norm < 1e-15:
+                break
+            outward = cur / norm
+            grad = g + H.dot(cur)
+            tang = grad - grad.dot(outward) * outward
+            tn = _norm(tang)
+            if tn <= 1e-14 * max(1.0, _norm(grad)):
+                break
         cand = cur - rel_step * delta * tang / tn
-        cn = float(np.linalg.norm(cand))
+        cn = _norm(cand)
         if cn > 0:
             cand = cand * (delta / cn)
         cand = np.minimum(step_hi, np.maximum(step_lo, cand))
-        cn = float(np.linalg.norm(cand))
+        cn = _norm(cand)
         if cn > delta:
             cand = cand * (delta / cn)
-        if q(cand) < q(cur) - 1e-16:
-            cur = cand
-            if q(cur) < best_q:
-                best, best_q = cur.copy(), q(cur)
+        q_cand = q(cand)
+        moved = q_cand < q_cur - 1e-16
+        if moved:
+            cur, q_cur = cand, q_cand
         else:
             rel_step *= 0.5
             if rel_step < 1e-6:
                 break
-    return best
+    return cur
 
 
 def solve_subproblem(
@@ -207,16 +223,16 @@ def solve_subproblem(
 
     def finalize(v: np.ndarray) -> np.ndarray:
         v = np.minimum(step_hi, np.maximum(step_lo, v))
-        norm = float(np.linalg.norm(v))
+        norm = _norm(v)
         if norm > delta:
             v = v * (delta / norm)
         return v
 
     def q(v: np.ndarray) -> float:
-        return float(g @ v + 0.5 * v @ H @ v)
+        return float(g.dot(v) + (0.5 * v).dot(H).dot(v))
 
     candidates = [finalize(s_cg), finalize(s_cauchy), np.zeros(center.size)]
-    if float(np.linalg.norm(s_cg)) >= delta * (1 - 1e-9):
+    if _norm(s_cg) >= delta * (1 - 1e-9):
         candidates.append(
             finalize(_boundary_polish(g, H, delta, step_lo, step_hi, candidates[0]))
         )

@@ -91,3 +91,33 @@ def test_quadratic_reconstruction_from_rows():
         z = rng.uniform(-3, 3, size=n)
         direct = g @ z + 0.5 * z @ H @ z
         assert basis.value_row(z) @ coeffs == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_derivative_rows_equal_stacked_derivative_row_bitwise(n):
+    basis = MonomialBasis(n)
+    rng = np.random.default_rng(n)
+    Z = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-8, 8, size=(6, 1))
+    Z[0] = 0.0
+    Z[1, 0] = -0.0  # signed zeros survive the vectorized form too
+    for axes in (list(range(n)), [n - 1], list(rng.permutation(n)[: max(1, n // 2)]), []):
+        rows = basis.derivative_rows(Z, axes)
+        stacked = [basis.derivative_row(z, a) for z in Z for a in axes]
+        expected = np.array(stacked) if stacked else np.zeros((0, basis.size - 1))
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(np.signbit(rows), np.signbit(expected))
+    # a single point may come as a vector
+    assert np.array_equal(basis.derivative_rows(Z[2], [0]), basis.derivative_row(Z[2], 0)[None])
+
+
+def test_cached_pair_indices_are_shared_and_read_only():
+    a, b = MonomialBasis(4), MonomialBasis(4)
+    assert a._ii is b._ii and a._jj is b._jj and a._diag is b._diag
+    for arr in (a._ii, a._jj, a._diag):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    ii, jj = np.triu_indices(4)
+    assert np.array_equal(a._ii, ii) and np.array_equal(a._jj, jj)
+    assert np.array_equal(a._diag, ii == jj)

@@ -463,3 +463,56 @@ def test_hermite_derivative_rows_match_value_row_differences():
         e[direction - 1] = h
         fd = (basis.value_row(z + e) - basis.value_row(z - e)) / (2 * h)
         assert np.allclose(sys.matrix[r], fd, atol=1e-6)
+
+
+class TestVectorizedAssembly:
+    """The block-built systems equal the row-by-row construction bitwise."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_hermite_ls_rows(self, n):
+        rng = np.random.default_rng(40 + n)
+        directions = tuple(range(1, n + 1, 2))
+        pairs = ((1, 1), (1, n))
+        ts, _ = quad_set(n, 2 * n + 1, rng, directions, pairs)
+        sys = assemble_hermite_ls(ts, availability(directions, pairs), include_second_order=True)
+        basis, shift = sys.basis, sys.shift
+        rows = [basis.value_row(ts.records[i].point - shift) for i in sys.value_order]
+        rows += [
+            basis.derivative_row(rec.point - shift, d - 1) for rec in ts.records for d in directions
+        ]
+        rows += [basis.second_derivative_row((a - 1, b - 1)) for _ in ts.records for a, b in pairs]
+        assert np.array_equal(sys.matrix, np.array(rows))
+
+        full, _ = quad_set(n, basis.q1, rng)
+        sys = assemble_full_interp(full)
+        rows = [basis.value_row(full.records[i].point - sys.shift) for i in sys.value_order]
+        assert np.array_equal(sys.matrix, np.array(rows))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_hermite_bobyqa_gradient_block(self, n):
+        rng = np.random.default_rng(50 + n)
+        directions = tuple(range(1, n + 1, 2))
+        ts, _ = quad_set(n, 2 * n + 1, rng, directions)
+        A = rng.normal(size=(n, n))
+        h_prev = A + A.T
+        sys = assemble_hermite_bobyqa(ts, availability(directions), h_prev)
+        # the per-point, per-direction construction the block form replaced
+        shift, D = sys.shift, sys.shifted_points
+        p = len(sys.value_order)
+        rows, rhs = [], []
+        for j, rec in enumerate(ts.records):
+            dj = rec.point - shift
+            inner = D @ dj
+            block = D * inner[:, None]
+            correction = h_prev @ dj
+            for direction in directions:
+                row = np.zeros(p + n)
+                row[:p] = block[:, direction - 1]
+                row[p + direction - 1] = 1.0
+                rows.append(row)
+                rhs.append(rec.gradient[direction] - correction[direction - 1])
+        assert np.array_equal(sys.matrix[p + n :], np.array(rows))
+        assert np.array_equal(sys.rhs[p + n :], np.array(rhs))
+        assert sys.row_tags[p + n :] == tuple(
+            ("grad", j, d) for j in range(ts.size) for d in directions
+        )

@@ -14,6 +14,7 @@ from hermiteopt.models import (
     solve_raw,
 )
 from hermiteopt.poisedness import (
+    SUM_IN_ORDER,
     LagrangeFamily,
     Region,
     _polish_abs,
@@ -430,8 +431,72 @@ class TestRegionSample:
             assert not draw.flags.writeable
             with pytest.raises(ValueError):
                 draw[0] = 0.0
-        first[:] = 7.0
+        with pytest.raises(ValueError):
+            first[:] = 7.0
         assert np.array_equal(region.sample(), self.fresh_draw(region, 10_000))
+
+    @staticmethod
+    def full_grid(region, per_axis):
+        """The tensor grid box- and ball-filtered as a whole, the order the
+        per-axis clipping must reproduce."""
+        n = region.center.size
+        lo, hi = region.box
+        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(n)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        keep = (
+            np.all(pts >= lo, axis=1)
+            & np.all(pts <= hi, axis=1)
+            & (np.linalg.norm(pts - region.center, axis=1) <= region.radius * (1 + 1e-9))
+        )
+        return np.vstack([region.center, pts[keep]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_axis_clipped_grid_equals_full_grid(self, n):
+        rng = np.random.default_rng(10 + n)
+        clipped = 0
+        for k in range(12):
+            center = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(-2, 2)
+            radius = float(10.0 ** rng.uniform(-6, 1))
+            lo = center - rng.uniform(0.0, 2.0, n) * radius
+            hi = center + rng.uniform(0.0, 2.0, n) * radius
+            face = rng.random(n) < 0.2
+            lo[face] = center[face] if k % 4 == 0 else -np.inf
+            region = Region(center, radius, Bounds(lo, hi))
+            blo, bhi = region.box
+            clipped += bool(np.any(blo > center - radius) or np.any(bhi < center + radius))
+            for per_axis in (None, 3, 4, 7):
+                pts = region.sample(per_axis)
+                if per_axis is None:
+                    per_axis = max(3, min(2 * n + 1, int(10_000 ** (1.0 / n))))
+                    per_axis -= per_axis % 2 == 0
+                if per_axis**n <= 10_000:  # grids only; larger ones are ball draws
+                    assert np.array_equal(pts, self.full_grid(region, per_axis))
+        assert clipped >= 6  # most boxes are cut by the bounds
+
+    @pytest.mark.parametrize("n", range(1, SUM_IN_ORDER))
+    def test_row_norms_sum_left_to_right(self, n):
+        # the grid's ball test relies on this order to match the row norm
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(20_000, n)) * 10.0 ** rng.uniform(-8, 8, size=(20_000, n))
+        total = np.zeros(len(X))
+        for k in range(n):
+            total = total + X[:, k] * X[:, k]
+        assert np.array_equal(np.linalg.norm(X, axis=1), np.sqrt(total))
+
+    def test_default_sample_is_memoized_and_read_only(self):
+        bounds = Bounds(np.array([-1.0, -0.2, -1.0]), np.array([1.0, 1.0, 0.1]))
+        region = Region(np.zeros(3), 0.5, bounds)
+        first = region.sample()
+        assert region.sample() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert np.array_equal(first, Region(np.zeros(3), 0.5, bounds).sample())
+        # other arguments draw afresh, also read-only
+        other = region.sample(5)
+        assert other is not region.sample(5)
+        assert not other.flags.writeable
 
 
 class TestTheorem1:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermiteopt.exceptions import (
     BudgetExhausted,
@@ -18,6 +20,7 @@ from hermiteopt.problem import (
     evaluate,
     incumbent,
     points_equal,
+    rows_equal,
 )
 from hermiteopt.testbed import mask_availability, rosenbrock
 
@@ -183,3 +186,72 @@ def test_points_equal_tolerance():
     assert not points_equal(a, a + 1e-10)
     big = np.array([1e8, 0.0])
     assert points_equal(big, big + np.array([0.0, 1e-7]))
+
+
+@st.composite
+def near_point_sets(draw):
+    """A few points of one dimension, some placed next to an earlier one
+    at multiples of the 1e-14 relative threshold (both sides of it, and
+    on it), at magnitudes up to 1e12."""
+    n = draw(st.integers(1, 4))
+    magnitude = 10.0 ** draw(st.integers(-3, 12))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    base = np.array(draw(st.lists(coords, min_size=n, max_size=n))) * magnitude
+    points = [base]
+    for _ in range(draw(st.integers(1, 5))):
+        src = points[draw(st.integers(0, len(points) - 1))]
+        if draw(st.booleans()):
+            points.append(np.array(draw(st.lists(coords, min_size=n, max_size=n))) * magnitude)
+            continue
+        scale = max(1.0, float(np.max(np.abs(src))))
+        factor = draw(st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0]))
+        step = np.zeros(n)
+        step[draw(st.integers(0, n - 1))] = factor * 1e-14 * scale * draw(st.sampled_from([-1.0, 1.0]))
+        moved = src + step
+        if draw(st.booleans()):  # one ulp either way of the nominal offset
+            moved = np.nextafter(moved, draw(st.sampled_from([-np.inf, np.inf])))
+        points.append(moved)
+    return np.array(points)
+
+
+class TestArrayDuplicateCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(near_point_sets())
+    def test_agrees_with_pairwise_points_equal(self, P):
+        m = len(P)
+        pairwise = np.array([[points_equal(P[a], P[b]) for b in range(m)] for a in range(m)])
+        for b in range(m):
+            assert np.array_equal(rows_equal(P, P[b]), pairwise[:, b])
+        assert np.array_equal(rows_equal(P, P), pairwise.T)  # a stack of points at once
+
+        dupes = [(a, b) for a in range(m) for b in range(a + 1, m) if pairwise[a, b]]
+        records = [record(p, float(k)) for k, p in enumerate(P)]
+        if dupes:
+            with pytest.raises(DuplicatePoint, match=f"records {dupes[0][0]} and {dupes[0][1]} "):
+                TrainingSet.from_records(records)
+            return
+        ts = TrainingSet.from_records(records)
+        for out in range(m):
+            for c in range(m):
+                incoming = record(P[c], -1.0)
+                if any(pairwise[i, c] for i in range(m) if i != out):
+                    with pytest.raises(DuplicatePoint):
+                        ts.replace(out, incoming)
+                else:
+                    assert ts.replace(out, incoming).size == m
+
+    def test_threshold_is_strict(self):
+        x = np.array([1e6, 0.0])
+        tol = 1e-14 * 1e6
+        for off in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+            y = np.array([1e6, off])
+            assert points_equal(x, y) == (off < tol) == rows_equal(y[None], x)[0]
+            assert points_equal(y, x) == rows_equal(x[None], y)[0]
+
+    def test_points_are_cached_and_read_only(self):
+        ts = TrainingSet.from_records([record([0, 0], 1.0), record([1, 0], 2.0)])
+        assert ts.points is ts.points
+        assert not ts.points.flags.writeable
+        with pytest.raises(ValueError):
+            ts.points[0, 0] = 5.0
+        assert np.array_equal(ts.replace(1, record([0, 2], 0.5)).points, [[0.0, 0.0], [0.0, 2.0]])
