@@ -373,23 +373,26 @@ def _null_basis(sys) -> np.ndarray:
     return null if null.size else Vt[-1:]
 
 
-def _null_space_score(sys, null: np.ndarray, cand: np.ndarray, delta: float) -> float:
-    """How strongly the rows a candidate point would contribute overlap
-    the null space of the (scaled) system; larger lifts the rank more."""
-    z = cand - sys.shift
+def _null_space_scores(sys, null: np.ndarray, candidates: np.ndarray, delta: float) -> list[float]:
+    """How strongly the rows each candidate point would contribute overlap
+    the null space of the (scaled) system; larger lifts the rank more.
+    The rows of all candidates are built at once; each row keeps its own
+    norm and matrix-vector product, summed in row order, so a score does
+    not depend on the other candidates."""
+    Z = candidates - sys.shift
     axes = sorted({tag[2] - 1 for tag in sys.row_tags if tag[0] == "grad"})
-    rows = np.vstack(
-        [
-            sys.basis.value_row(z) * sys.col_scale,
-            sys.basis.derivative_rows(z, axes) * sys.col_scale * delta,
-        ]
-    )
-    score = 0.0
-    for row in rows:
-        norm = float(np.linalg.norm(row))
-        if norm > 0:
-            score += float(np.linalg.norm(null @ (row / norm)) ** 2)
-    return score
+    values = sys.basis.value_rows(Z) * sys.col_scale
+    derivatives = sys.basis.derivative_rows(Z, axes) * sys.col_scale * delta
+    derivatives = derivatives.reshape(len(Z), len(axes), values.shape[1])
+    scores = []
+    for value, rows in zip(values, derivatives):
+        score = 0.0
+        for row in (value, *rows):
+            norm = float(np.linalg.norm(row))
+            if norm > 0:
+                score += float(np.linalg.norm(null @ (row / norm)) ** 2)
+        scores.append(score)
+    return scores
 
 
 def _redundancy_order(sys, point_count: int, incumbent_index: int):
@@ -440,7 +443,7 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), sta
         return ts, None
     if sys_scaled.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
         null = _null_basis(sys_scaled)
-        scores = [_null_space_score(sys_scaled, null, c, delta) for c in candidates]
+        scores = _null_space_scores(sys_scaled, null, candidates, delta)
         pick = candidates[int(np.argmax(scores))]
     else:
         pick = candidates[0]

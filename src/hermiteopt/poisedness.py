@@ -18,17 +18,28 @@ maximum absolute polynomial value over a deterministic sample of the
 region, refined by a few steps of projected ascent.  It is a lower bound
 on the true constant.
 
-Choices between polynomials screen first and confirm second.  The matrix
-product differs from a per-polynomial evaluation in the last bits, and
-symmetric samples hold exact ties, so a choice made on it alone could
-fall on the other side of a tie.  Every column whose screened maximum
-lies within a relative ``TIE_RTOL`` of the best is therefore evaluated
-again one polynomial at a time, and the first polynomial, at its first
-point, with a strictly larger value wins.
+Choices screen with cheaper arithmetic first and settle second, in two
+ways.  A screen differs from a per-polynomial evaluation in the last
+bits, and symmetric samples hold exact ties, so a choice made on it
+alone could fall on the other side of a tie.
+
+* Choosing among columns (``estimate_lambda``, ``select_outgoing``):
+  every column whose screened maximum lies within a relative
+  ``TIE_RTOL`` of the best is evaluated again one polynomial at a time,
+  and the first polynomial, at its first point, with a strictly larger
+  value wins.
+* Choosing a row of the sample (the seed of ``propose_geometry_point``):
+  each screened value carries a rigorous bound on how far it can sit
+  from ``QuadraticModel.value_at``'s value.  A row that beats every
+  other row by more than both bounds is the exact first argmax; when
+  none does, ``value_at`` runs over the whole sample.  It is never
+  re-run on a subset, because its ``einsum`` rounds a row differently
+  depending on the rows around it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -52,6 +63,8 @@ GEMM_BLOCK = 512
 TIE_RTOL = 1e-9
 # numpy sums rows shorter than this left to right (longer ones pairwise)
 SUM_IN_ORDER = 8
+# unit-ball draws shifted and tested per step of the ball sample's walk
+BALL_BLOCK = 1024
 
 
 @lru_cache(maxsize=8)
@@ -78,10 +91,12 @@ class Region:
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
-    @property
+    @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.maximum(self.center - self.radius, self.bounds.lower)
         hi = np.minimum(self.center + self.radius, self.bounds.upper)
+        lo.flags.writeable = False
+        hi.flags.writeable = False
         return lo, hi
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -95,7 +110,7 @@ class Region:
         lo, hi = self.box
         y = np.minimum(hi, np.maximum(lo, x))
         d = y - self.center
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(float(d.dot(d)))
         if norm > self.radius:
             y = self.center + d * (self.radius / norm)
         return y
@@ -147,14 +162,31 @@ class Region:
         else:
             # high dimensions: a tensor grid cannot fit under the cap, so
             # sample the ball directly (uniform via normal directions and
-            # a radial power law) and keep what lands in the box
+            # a radial power law) and keep what lands in the box.  The
+            # draws are walked in order until ``cap`` are kept.  Only the
+            # faces the bounds set are tested: every direction entry is
+            # at most 1 in size and every radial factor at most 1, and
+            # rounding is monotone, so no draw crosses a face at
+            # ``center -+ radius``.
             directions, radial = _unit_ball_draws(n, 2 * cap)
-            pts = self.center + directions * (self.radius * radial)
-            pts = pts[
-                np.all(pts >= lo, axis=1)
-                & np.all(pts <= hi, axis=1)
-                & (np.linalg.norm(pts - self.center, axis=1) <= reach)
-            ]
+            low = np.flatnonzero(lo > self.center - self.radius)
+            high = np.flatnonzero(hi < self.center + self.radius)
+            kept, count = [], 0
+            for start in range(0, len(directions), BALL_BLOCK):
+                stop = start + BALL_BLOCK
+                block = self.center + directions[start:stop] * (self.radius * radial[start:stop])
+                keep = np.linalg.norm(block - self.center, axis=1) <= reach
+                for i in low:
+                    keep &= block[:, i] >= lo[i]
+                for i in high:
+                    keep &= block[:, i] <= hi[i]
+                if not keep.all():
+                    block = block[keep]
+                kept.append(block)
+                count += len(block)
+                if count >= cap:
+                    break
+            pts = np.concatenate(kept)
         pts = np.vstack([self.center, pts[:cap]])
         pts.flags.writeable = False
         return pts
@@ -288,18 +320,19 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
 def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region, steps: int) -> tuple[np.ndarray, float]:
     """Projected ascent on |poly| from a seed point; deterministic."""
     x = np.array(x0, dtype=float)
-    best = abs(poly.value(x))
+    cur = poly.value(x)
+    best = abs(cur)
     step = region.radius / 4.0
     for _ in range(steps):
         grad = poly.gradient(x)
-        sign = 1.0 if poly.value(x) >= 0 else -1.0
-        norm = float(np.linalg.norm(grad))
+        sign = 1.0 if cur >= 0 else -1.0
+        norm = math.sqrt(float(grad.dot(grad)))
         if norm == 0.0:
             break
         cand = region.project(x + step * sign * grad / norm)
-        val = abs(poly.value(cand))
-        if val > best:
-            x, best = cand, val
+        val = poly.value(cand)
+        if abs(val) > best:
+            x, cur, best = cand, val, abs(val)
         else:
             step *= 0.5
     return x, best
@@ -368,10 +401,37 @@ def propose_geometry_point(
     """Point extremizing |l_index| over the region (grid seed plus ascent)."""
     poly = family.polynomial(index)
     pts = region.sample(per_axis)
-    vals = np.abs(poly.value_at(pts))
-    seed = pts[int(np.argmax(vals))]
+    seed = pts[_first_argmax_abs(poly, pts)]
     x, _ = _polish_abs(poly, seed, region, polish_steps)
     return region.project(x)
+
+
+def _first_argmax_abs(poly: QuadraticModel, pts: np.ndarray) -> int:
+    """``argmax(|poly.value_at(pts)|)``, bit for bit.
+
+    The screen forms the quadratic term as row sums of ``(D @ H) * D``.
+    It and ``value_at`` each round row ``k`` by at most about
+    ``n*n + 2n + 2`` unit roundoffs of ``|c| + |D_k| |g| + |D_k|^2 |H|_F``
+    plus the quadratic term; ``bound`` takes ``4 (n*n + n + 4) eps`` of
+    that, which also covers the rounding of the bound and of the
+    comparison, and ``tiny`` covers underflow.  A NaN or an overflow
+    makes the comparison false, and ``value_at`` decides.
+    """
+    D = pts - poly.center
+    lin = poly.c + D @ poly.g
+    quad = np.einsum("ij,ij->i", D @ poly.H, D)
+    screen = np.abs(lin + 0.5 * quad)
+    k = int(np.argmax(screen))
+    n = D.shape[1]
+    finfo = np.finfo(float)
+    sq = np.einsum("ij,ij->i", D, D)
+    scale = abs(poly.c) + np.sqrt(sq) * np.linalg.norm(poly.g) + sq * np.linalg.norm(poly.H)
+    bound = 4 * (n * n + n + 4) * finfo.eps * (scale + np.abs(quad)) + finfo.tiny
+    rivals = screen + bound
+    rivals[k] = -np.inf
+    if screen[k] - bound[k] > np.max(rivals):
+        return k
+    return int(np.argmax(np.abs(poly.value_at(pts))))
 
 
 # --- unreduced representation used for the interpolation-vs-regression

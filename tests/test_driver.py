@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from util import availability, build_training_set, random_quadratic
 
 from hermiteopt.driver import (
     Evaluator,
     ModelKind,
     SolverConfig,
     TerminationReason,
+    _null_basis,
+    _null_space_scores,
     default_point_count,
     initial_points,
     initialize,
@@ -14,7 +17,12 @@ from hermiteopt.driver import (
     run,
 )
 from hermiteopt.exceptions import DegenerateModelDecrease, OutOfBounds
-from hermiteopt.models import QuadraticModel
+from hermiteopt.models import (
+    QuadraticModel,
+    apply_scaling,
+    assemble_full_interp,
+    assemble_hermite_ls,
+)
 from hermiteopt.problem import Bounds, EvaluationBudget, TaylorReference
 from hermiteopt.testbed import get_problem, mask_availability
 
@@ -255,6 +263,49 @@ class TestReachableStates:
             check(state.ts)
             if reason:
                 break
+
+
+class TestRankRepairScores:
+    @staticmethod
+    def reference_score(sys, null, cand, delta):
+        """One candidate's score, its rows built on their own; the batched
+        scoring must reproduce it bit for bit."""
+        z = cand - sys.shift
+        axes = sorted({tag[2] - 1 for tag in sys.row_tags if tag[0] == "grad"})
+        rows = np.vstack(
+            [
+                sys.basis.value_row(z) * sys.col_scale,
+                sys.basis.derivative_rows(z, axes) * sys.col_scale * delta,
+            ]
+        )
+        score = 0.0
+        for row in rows:
+            norm = float(np.linalg.norm(row))
+            if norm > 0:
+                score += float(np.linalg.norm(null @ (row / norm)) ** 2)
+        return score
+
+    @pytest.mark.parametrize("directions", [(), (2,), (1, 3), (1, 2, 3, 4)])
+    def test_scores_equal_per_candidate_loop(self, directions):
+        n = 4
+        rng = np.random.default_rng(90 + len(directions))
+        for _ in range(10):
+            _, _, _, fn, grad = random_quadratic(n, rng)
+            count = 15 if not directions else 9
+            points = rng.normal(size=(count, n)) * 10.0 ** rng.uniform(-2, 1)
+            points[:, -1] = 0.0  # points on a hyperplane leave a null space
+            ts = build_training_set(points, fn, grad, directions)
+            if directions:
+                sys = assemble_hermite_ls(ts, availability(directions))
+            else:
+                sys = assemble_full_interp(ts)
+            delta = float(10.0 ** rng.uniform(-3, 1))
+            sys = apply_scaling(sys, delta)
+            null = _null_basis(sys)
+            moves = rng.normal(size=(30, n)) * delta * 10.0 ** rng.uniform(-3, 0, size=(30, 1))
+            candidates = np.vstack([sys.shift, sys.shift + moves])
+            expected = [self.reference_score(sys, null, c, delta) for c in candidates]
+            assert _null_space_scores(sys, null, candidates, delta) == expected
 
 
 class TestConfigValidation:

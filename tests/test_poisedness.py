@@ -14,9 +14,11 @@ from hermiteopt.models import (
     solve_raw,
 )
 from hermiteopt.poisedness import (
+    BALL_BLOCK,
     SUM_IN_ORDER,
     LagrangeFamily,
     Region,
+    _first_argmax_abs,
     _polish_abs,
     _unit_ball_draws,
     derivative_phi_matrix,
@@ -209,6 +211,52 @@ class TestProposeGeometry:
             after = estimate_lambda(family2, region, per_axis=15, polish_steps=0)
             assert after.lam <= before.lam + 1e-6
 
+    @staticmethod
+    def reference_polish(poly, x0, region, steps):
+        """The polish with every value and norm recomputed per try."""
+        x = np.array(x0, dtype=float)
+        best = abs(poly.value(x))
+        step = region.radius / 4.0
+        for _ in range(steps):
+            grad = poly.gradient(x)
+            sign = 1.0 if poly.value(x) >= 0 else -1.0
+            norm = float(np.linalg.norm(grad))
+            if norm == 0.0:
+                break
+            y = np.clip(x + step * sign * grad / norm, *region.box)
+            d = y - region.center
+            if float(np.linalg.norm(d)) > region.radius:
+                y = region.center + d * (region.radius / float(np.linalg.norm(d)))
+            val = abs(poly.value(y))
+            if val > best:
+                x, best = y, val
+            else:
+                step *= 0.5
+        return x, best
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_polish_matches_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        for k in range(40):
+            c, g, H, _, _ = random_quadratic(n, rng)
+            if k % 8 == 0:
+                g, H = np.zeros(n), np.zeros((n, n))  # no gradient: no move
+            center = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 2)
+            radius = float(10.0 ** rng.uniform(-6, 0))
+            reach = rng.uniform(0.1, 2.0, (2, n)) * radius
+            region = Region(center, radius, Bounds(center - reach[0], center + reach[1]))
+            x0 = region.project(center + rng.normal(size=n) * radius)
+            peak = center + rng.normal(size=n) * radius
+            if k % 8 == 4:
+                # a small cap near x0: the first try overshoots it and
+                # lands where the value has the other sign
+                c, g, peak = 1e-3, np.zeros(n), x0 + 1e-3 * radius * rng.normal(size=n)
+                H = -(np.eye(n) + H @ H.T) / radius**2
+            poly = QuadraticModel(center=peak, c=c, g=g, H=H)
+            x, best = _polish_abs(poly, x0, region, 8)
+            ref_x, ref_best = self.reference_polish(poly, x0, region, 8)
+            assert np.array_equal(x, ref_x) and best == ref_best
+
 
 class TestRegressionFamilies:
     def test_least_squares_residual_matches_lstsq(self):
@@ -395,10 +443,93 @@ class TestExactTies:
             proposal = propose_geometry_point(family, index, region, per_axis)
             assert np.array_equal(proposal, expected)
 
+    @staticmethod
+    def seed_cases(n, rng):
+        """Quadratics and samples for the proposal seed: grid samples up
+        to 4-D and ball samples above, zero Hessians, large constants,
+        tiny radii, mirrored samples whose values tie exactly, rows a few
+        ulps from the largest one, and a NaN row."""
+        variants = ("plain", "zero-H", "large-c", "tiny", "mirrored", "near", "nan")
+        for variant in variants:
+            c, g, H, _, _ = random_quadratic(n, rng)
+            center = rng.normal(size=n) * 10.0 ** rng.uniform(-1, 3)
+            radius = 1e-7 if variant == "tiny" else float(rng.uniform(0.1, 2.0))
+            if variant == "zero-H":
+                H = np.zeros((n, n))
+            if variant == "large-c":
+                c = 1e9 * c
+            if variant in ("mirrored", "near"):
+                # about the origin, so mirrored rows are exact negations
+                center, g = np.zeros(n), np.zeros(n)
+            lower = center - rng.uniform(0.2, 3.0, n) * radius
+            region = Region(center, radius, Bounds(lower, center + 3 * radius))
+            pts = region.sample(7) if n <= 4 else region.sample(2 * n + 1, cap=2000)
+            poly = QuadraticModel(center=center, c=0.0 if variant == "near" else c, g=g, H=H)
+            if variant == "mirrored":
+                pts = np.vstack([pts, -pts])
+            if variant == "near":
+                top = pts[int(np.argmax(np.abs(poly.value_at(pts))))]
+                ulps = rng.integers(-2, 3, size=(200, n)) * np.finfo(float).eps
+                pts = np.vstack([pts, top * (1.0 + ulps)])
+            if variant == "nan":
+                pts = np.array(pts)
+                pts[rng.integers(len(pts))] = np.nan
+            yield poly, pts
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_seed_row_matches_brute_force(self, n, monkeypatch):
+        calls = []
+        value_at = QuadraticModel.value_at
+
+        def counted(poly, points):
+            calls.append(len(points))
+            return value_at(poly, points)
+
+        monkeypatch.setattr(QuadraticModel, "value_at", counted)
+        rng = np.random.default_rng(70 + n)
+        certified = 0
+        for _ in range(4):
+            for poly, pts in self.seed_cases(n, rng):
+                expected = int(np.argmax(np.abs(value_at(poly, pts))))
+                calls.clear()
+                assert _first_argmax_abs(poly, pts) == expected
+                assert calls in ([], [len(pts)])  # never a subset of rows
+                certified += not calls
+        assert 0 < certified < 28  # both the screen and the fallback decide
+
+    def test_ball_proposal_is_certified(self, monkeypatch):
+        # a random 10-D family on a ball sample needs no exact evaluation;
+        # a seed helper that always fell back to value_at would fail here
+        rng = np.random.default_rng(80)
+        q = MonomialBasis(10).size - 1
+        family = LagrangeFamily(
+            kind=ModelKind.FULL_INTERP,
+            center=rng.normal(size=10) * 0.1,
+            coeffs=rng.normal(size=(q, 40)),
+            constants=rng.normal(size=40),
+            incumbent_index=0,
+        )
+        region = Region(np.full(10, 0.1), 0.8, Bounds(np.full(10, -0.5), np.full(10, 2.0)))
+        pts = region.sample()
+        expected = []
+        for index in range(0, 40, 7):
+            poly = family.polynomial(index)
+            seed = pts[int(np.argmax(np.abs(poly.value_at(pts))))]
+            expected.append(region.project(_polish_abs(poly, seed, region, 5)[0]))
+
+        def refuse(poly, points):
+            raise AssertionError("value_at called")
+
+        monkeypatch.setattr(QuadraticModel, "value_at", refuse)
+        for k, index in enumerate(range(0, 40, 7)):
+            assert np.array_equal(propose_geometry_point(family, index, region), expected[k])
+
 
 class TestRegionSample:
     @staticmethod
-    def fresh_draw(region, cap):
+    def fresh_draws(region, cap):
+        """Every one of the ``2 * cap`` draws and whether it is kept, from
+        a fresh generator, with the box and ball tests on all of them."""
         n = region.center.size
         rng = np.random.default_rng(0)
         raw = rng.standard_normal((2 * cap, n))
@@ -411,7 +542,30 @@ class TestRegionSample:
             & np.all(pts <= hi, axis=1)
             & (np.linalg.norm(pts - region.center, axis=1) <= region.radius * (1 + 1e-9))
         )
+        return pts, keep
+
+    @classmethod
+    def fresh_draw(cls, region, cap):
+        pts, keep = cls.fresh_draws(region, cap)
         return np.vstack([region.center, pts[keep][:cap]])
+
+    @staticmethod
+    def region_with_faces(n, faces, rng):
+        """A region whose bounds cut the ball on the named side(s); "tiny"
+        is a 1e-8 ball around a center of magnitude 1e3, cut on both."""
+        center = rng.normal(size=n)
+        radius = float(rng.uniform(0.2, 1.0))
+        if faces == "tiny":
+            center, radius = center * 1e3, 1e-8
+        lo, hi = center - 2 * radius, center + 2 * radius
+        cut = rng.choice(n, size=3, replace=False)
+        if faces in ("lower", "both", "tiny"):
+            lo[cut[:2]] = center[cut[:2]] - rng.uniform(0.0, 0.4, 2) * radius
+        if faces in ("upper", "both", "tiny"):
+            hi[cut[1:]] = center[cut[1:]] + rng.uniform(0.0, 0.4, 2) * radius
+        if faces == "none":
+            lo[cut[0]], hi[cut[1]] = -np.inf, np.inf
+        return Region(center, radius, Bounds(lo, hi))
 
     @pytest.mark.parametrize("n, cap", [(6, 500), (10, 10_000)])
     def test_cached_ball_sample_equals_fresh_draw(self, n, cap):
@@ -423,6 +577,33 @@ class TestRegionSample:
             pts = region.sample(cap=cap)
             assert len(pts) < (2 * n + 1) ** n  # the ball branch, not a grid
             assert np.array_equal(pts, self.fresh_draw(region, cap))
+
+    @pytest.mark.parametrize("n", [6, 9, 10, 12])
+    def test_ball_walk_equals_fresh_draw_at_every_end(self, n):
+        # the walk stops in the block holding the cap-th kept draw, or
+        # runs to the last block; each position must occur
+        rng = np.random.default_rng(n)
+        ends = set()
+        for cap in (600, 3000, 10_000):
+            if 3**n <= cap:
+                continue  # a grid, not ball draws
+            blocks = -(-2 * cap // BALL_BLOCK)
+            for faces in ("none", "lower", "upper", "both", "tiny"):
+                region = self.region_with_faces(n, faces, rng)
+                pts = region.sample(cap=cap)
+                assert np.array_equal(pts, self.fresh_draw(region, cap))
+                hits = np.flatnonzero(self.fresh_draws(region, cap)[1])
+                end = hits[cap - 1] // BALL_BLOCK if len(hits) >= cap else blocks - 1
+                ends.add("first" if end == 0 else "last" if end == blocks - 1 else "middle")
+        # in 6-D a cap of 729 is a grid already, so its walks span two blocks
+        assert ends == ({"first", "last"} if n == 6 else {"first", "middle", "last"})
+
+    @pytest.mark.parametrize("n", range(9, 21))
+    def test_unit_ball_draws_stay_inside_unit_faces(self, n):
+        # the ball walk skips the faces at center -+ radius on this premise
+        directions, radial = _unit_ball_draws(n, 20_000)
+        assert np.max(np.abs(directions)) <= 1.0
+        assert np.max(radial) <= 1.0
 
     def test_cache_is_read_only(self):
         region = Region(np.zeros(10), 1.0, Bounds.unbounded(10))
