@@ -1,9 +1,12 @@
 # Yield optimization: maximize the probability that a design meets a
 # frequency-response requirement under Gaussian manufacturing spread.
 # The derivative of the Monte-Carlo yield with respect to the two
-# uncertain means comes free from the same sample, while the two
+# uncertain means has a closed form over the sample, while the two
 # deterministic knobs have no derivative: exactly the mixed setting the
-# Hermite model kinds target.
+# Hermite model kinds target.  In "nonoise" (fixed-shifted sampling) the
+# value and the derivatives come free from one shared sample; the
+# resampled "lownoise" and "highnoise" modes still draw a fresh sample
+# for the value and for each derivative (ROADMAP direction 4).
 import numpy as np
 
 import hermiteopt as ho

@@ -8,9 +8,12 @@ the yield is the probability that a random realization of the uncertain
 parameters meets the requirement.
 
 The yield derivative with respect to the uncertain means has a closed
-form that reuses the Monte-Carlo sample: the means are known directions,
-the deterministic knobs are not, which is exactly the mixed-information
-setting the optimizer targets.
+form over the Monte-Carlo sample: the means are known directions, the
+deterministic knobs are not, which is exactly the mixed-information
+setting the optimizer targets.  Only fixed-shifted sampling gives the
+value and the derivatives one shared sample (one estimate per point);
+resampled modes draw afresh for the value and for each derivative
+(ROADMAP direction 4).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ _BASE_LEVEL = -30.0
 _BUMP = 8.0
 _RIPPLE = 0.4
 _S_MAX = float(np.max(np.sin(R_GRID)))
+# the largest ripple term exactly as surrogate_response rounds it on the grid
+_RIPPLE_MAX = np.max(_RIPPLE * np.sin(R_GRID[None, :]))
 # decay constant calibrated so the exact start-configuration yield (means
 # centered on the response bump) equals START_YIELD
 _RHO_SAFE_SQ = -2.0 * SIGMA**2 * np.log(START_YIELD)
@@ -87,11 +92,25 @@ class YieldProblem:
         return np.asarray(means, dtype=float) + self.sigma * base
 
     def safe_mask(self, samples: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Which samples meet the requirement at every frequency point."""
-        response = surrogate_response(
-            R_GRID[None, :], samples[:, 0, None], samples[:, 1, None], d[0], d[1]
-        )
-        return np.all(response <= THRESHOLD, axis=1)
+        """Which samples meet the requirement at every frequency point.
+
+        Only the ripple varies over the grid, and rounded addition is
+        monotone (b <= b' implies fl(a + b) <= fl(a + b')), so the response
+        stays below the threshold at every frequency exactly when it does
+        at the worst one: ``fl(level + _RIPPLE_MAX) <= THRESHOLD``.  The
+        level is rounded as in :func:`surrogate_response`; NaN and infinite
+        levels compare as they do on the full grid.
+        """
+        c1 = 9.0 + 2.0 * (d[0] - 1.0)
+        c2 = 5.0 + 2.0 * (d[1] - 1.0)
+        rho2 = (samples[:, 0, None] - c1) ** 2 + (samples[:, 1, None] - c2) ** 2
+        level = _BASE_LEVEL + _BUMP * np.exp(-rho2 / DECAY)
+        return (level + _RIPPLE_MAX <= THRESHOLD)[:, 0]
+
+    def estimate(self, x: np.ndarray) -> float:
+        """The estimated yield alone; resampled mode draws a fresh sample."""
+        x = np.asarray(x, dtype=float)
+        return float(np.mean(self.safe_mask(self.samples(x[:2]), x[2:])))
 
     def estimate_with_stats(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -104,19 +123,26 @@ class YieldProblem:
 
 def yield_estimate(yp: YieldProblem, x: np.ndarray) -> float:
     """Fraction of samples inside the safe domain; in [0, 1]."""
-    value, _ = yp.estimate_with_stats(x)
-    return value
+    return yp.estimate(x)
+
+
+def _mean_gradient(value, safe_mean, x, sigma) -> np.ndarray:
+    if safe_mean is None:
+        return np.zeros(2)
+    return value * (safe_mean - x[:2]) / sigma**2
 
 
 def yield_gradient_means(yp: YieldProblem, x: np.ndarray) -> np.ndarray:
     """Derivative of the estimated yield with respect to the two means:
-    ``Y * (safe_mean_j - mean_j) / sigma_j^2``, reusing the sample that
-    produced the estimate; zero when no sample is safe."""
+    ``Y * (safe_mean_j - mean_j) / sigma_j^2``; zero when no sample is safe.
+
+    In fixed-shifted mode the sample is the one that produces the value at
+    ``x``.  In resampled mode this call draws its own sample, so the
+    gradient does not come from the sample of any separate value estimate
+    (ROADMAP direction 4).
+    """
     x = np.asarray(x, dtype=float)
-    value, safe_mean = yp.estimate_with_stats(x)
-    if safe_mean is None:
-        return np.zeros(2)
-    return value * (safe_mean - x[:2]) / yp.sigma**2
+    return _mean_gradient(*yp.estimate_with_stats(x), x, yp.sigma)
 
 
 YIELD_MODES = {
@@ -139,11 +165,34 @@ def yield_objective(mode: str = "nonoise", seed: int = 0) -> ObjectiveSpec:
         raise ValueError(f"unknown yield mode {mode!r}") from None
     yp = YieldProblem(n_mc=n_mc, sampling=sampling, seed=seed)
 
-    def value(x):
-        return -yield_estimate(yp, x)
+    if sampling is SamplingMode.FIXED_SHIFTED:
+        # the estimate is deterministic, so the value and the derivatives at
+        # one point share it: (x bytes, value, safe mean) of the last point.
+        # The cache lives here, where nothing else can change yp's sigma.
+        last = None
 
-    def derivative(x, i):
-        return -float(yield_gradient_means(yp, x)[i - 1])
+        def stats(x):
+            nonlocal last
+            x = np.asarray(x, dtype=float)
+            key = x.tobytes()
+            if last is None or last[0] != key:
+                last = (key, *yp.estimate_with_stats(x))
+            return x, last[1], last[2]
+
+        def value(x):
+            return -stats(x)[1]
+
+        def derivative(x, i):
+            x, val, safe_mean = stats(x)
+            return -float(_mean_gradient(val, safe_mean, x, yp.sigma)[i - 1])
+
+    else:
+        # one fresh draw per oracle call, in the order the calls come
+        def value(x):
+            return -yp.estimate(x)
+
+        def derivative(x, i):
+            return -float(yield_gradient_means(yp, x)[i - 1])
 
     return ObjectiveSpec(
         dimension=4,

@@ -5,6 +5,7 @@ from hermiteopt.exceptions import UnavailableDerivative
 from hermiteopt.problem import EvaluationBudget, evaluate
 from hermiteopt.yields import (
     BOUNDS,
+    DECAY,
     R_GRID,
     START_POINT,
     START_YIELD,
@@ -65,6 +66,65 @@ class TestEstimator:
         assert np.all(far <= THRESHOLD)
         close = surrogate_response(R_GRID, 9.0, 5.0, 1.0, 1.0)
         assert np.any(close > THRESHOLD)
+
+
+def _full_grid_mask(samples, d):
+    response = surrogate_response(
+        R_GRID[None, :], samples[:, 0, None], samples[:, 1, None], d[0], d[1]
+    )
+    return np.all(response <= THRESHOLD, axis=1)
+
+
+class TestWorstFrequencyMask:
+    def test_matches_full_grid_on_seeded_designs(self):
+        rng = np.random.default_rng(20)
+        span = BOUNDS.upper - BOUNDS.lower
+        all_safe = none_safe = mixed = 0
+        for k in range(3200):
+            n_mc = 1 if k % 8 == 0 else int(rng.integers(2, 200))
+            sigma = 1e-12 if k % 5 == 0 else float(rng.uniform(0.05, 2.0))
+            if k % 2:
+                # the box and a box-width beyond it on every side
+                x = rng.uniform(BOUNDS.lower - span, BOUNDS.upper + span)
+            else:
+                # means near the moved bump, where the threshold is crossed
+                d = rng.uniform(BOUNDS.lower[2:] - 1.0, BOUNDS.upper[2:] + 1.0)
+                center = np.array([9.0 + 2.0 * (d[0] - 1.0), 5.0 + 2.0 * (d[1] - 1.0)])
+                x = np.concatenate([center + rng.normal(0.0, 1.0, 2), d])
+            yp = YieldProblem(n_mc=n_mc, seed=k, sigma=sigma)
+            samples = yp.samples(x[:2])
+            mask = yp.safe_mask(samples, x[2:])
+            expected = _full_grid_mask(samples, x[2:])
+            assert mask.shape == expected.shape == (n_mc,)
+            assert np.array_equal(mask, expected), (k, x, sigma)
+            all_safe += bool(mask.all())
+            none_safe += not mask.any()
+            mixed += 0 < mask.sum() < n_mc
+        assert all_safe and none_safe and mixed
+
+    def test_matches_full_grid_at_the_threshold_radius(self):
+        # distances a few ulps either side of the radius where the worst
+        # frequency meets the threshold exactly
+        rho_sq = -DECAY * np.log((THRESHOLD + 30.0 - 0.4 * np.max(np.sin(R_GRID))) / 8.0)
+        radius = np.sqrt(rho_sq) * (1.0 + 1e-16 * np.arange(-4000, 4001))
+        angle = np.linspace(0.0, 2.0 * np.pi, radius.size)
+        d = np.array([1.0, 1.0])
+        samples = np.column_stack([9.0 + radius * np.cos(angle), 5.0 + radius * np.sin(angle)])
+        mask = YieldProblem(n_mc=1).safe_mask(samples, d)
+        assert np.array_equal(mask, _full_grid_mask(samples, d))
+        assert 0 < mask.sum() < mask.size
+
+    def test_non_finite_inputs_match_full_grid(self):
+        inf, nan = np.inf, np.nan
+        samples = np.array(
+            [[nan, 5.0], [9.0, nan], [inf, 5.0], [-inf, 5.0], [inf, inf], [9.0, 5.0], [40.0, 5.0]]
+        )
+        yp = YieldProblem(n_mc=1)
+        for d in ([1.0, 1.0], [inf, 1.0], [-inf, 1.0], [nan, 1.0], [1.0, inf]):
+            d = np.array(d)
+            with np.errstate(invalid="ignore"):
+                expected = _full_grid_mask(samples, d)
+                assert np.array_equal(yp.safe_mask(samples, d), expected)
 
 
 class TestGradient:
@@ -129,6 +189,46 @@ class TestObjectiveSpec:
         yp = YieldProblem(n_mc=2500, seed=13)
         x = np.array([9.4, 5.2, 1.0, 1.0])
         assert spec.value(x) == pytest.approx(-yield_estimate(yp, x))
+
+    def test_nonoise_interleaved_points_match_a_fresh_spec(self):
+        x1 = np.array([9.6, 5.3, 1.1, 0.9])
+        x2 = np.array([10.2, 4.7, 0.8, 1.2])
+        spec = yield_objective("nonoise", seed=14)
+        for x in (x1, x2, x1, x1):
+            got = (spec.value(x), spec.partial(x, 1), spec.partial(x, 2))
+            fresh = yield_objective("nonoise", seed=14)
+            # derivatives first: a fresh spec has no value to reuse
+            d1, d2 = fresh.partial(x, 1), fresh.partial(x, 2)
+            assert got == (fresh.value(x), d1, d2)
+            g = yield_gradient_means(YieldProblem(n_mc=2500, seed=14), x)
+            assert got[1:] == (-float(g[0]), -float(g[1]))
+
+    @pytest.mark.parametrize("mode, estimates", [("nonoise", 1), ("lownoise", 3)])
+    def test_estimates_per_evaluation(self, monkeypatch, mode, estimates):
+        calls = []
+        full = YieldProblem.safe_mask
+
+        def counting(self, samples, d):
+            calls.append(len(samples))
+            return full(self, samples, d)
+
+        monkeypatch.setattr(YieldProblem, "safe_mask", counting)
+        spec = yield_objective(mode, seed=15)
+        evaluate(spec, START_POINT, EvaluationBudget(1))
+        # one estimate per point in fixed-shifted mode; resampled modes
+        # still estimate once per oracle call, 1 + k_d times
+        assert calls == [2500] * estimates
+
+    def test_lownoise_draws_once_per_oracle_call_in_order(self):
+        spec = yield_objective("lownoise", seed=16)
+        yp = YieldProblem(n_mc=2500, sampling=SamplingMode.RESAMPLED, seed=16)
+        budget = EvaluationBudget(2)
+        x = np.array([9.3, 5.4, 1.0, 1.1])
+        for _ in range(2):
+            rec = evaluate(spec, x, budget)
+            assert rec.value == -yield_estimate(yp, x)
+            assert rec.gradient[1] == -float(yield_gradient_means(yp, x)[0])
+            assert rec.gradient[2] == -float(yield_gradient_means(yp, x)[1])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
