@@ -278,7 +278,9 @@ def run_plan(
 
     Runs are CPU-bound numpy work, so ``workers > 1`` spreads them over
     that many spawned processes; a script that does so must guard its
-    entry point with ``if __name__ == "__main__":``.  Rows are ordered by
+    entry point with ``if __name__ == "__main__":``.  Each run holds its
+    process's OpenBLAS to one thread (see `driver.run`), so the workers
+    do not compete with BLAS threads for the cores.  Rows are ordered by
     plan index regardless of worker scheduling, so a fixed plan and seeds
     reproduce the file byte for byte.
     """

@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _blas
 from .exceptions import (
     BudgetExhausted,
     DegenerateModelDecrease,
@@ -334,6 +335,11 @@ def _assemble(ts: TrainingSet, spec: ObjectiveSpec, config: SolverConfig, state:
         kind = ModelKind.FULL_INTERP
     if kind is ModelKind.HERMITE_BOBYQA and avail.k_d == 0:
         kind = ModelKind.BOBYQA
+    n = ts.dimension
+    if kind is ModelKind.BOBYQA and ts.size == (n + 1) * (n + 2) // 2:
+        # q1 poised points leave the Hessian no freedom: the
+        # min-Frobenius model is the interpolant (the default set at n = 1)
+        kind = ModelKind.FULL_INTERP
     if kind is ModelKind.FULL_INTERP:
         return assemble_full_interp(ts)
     if kind is ModelKind.BOBYQA:
@@ -627,7 +633,12 @@ def step_iteration(
 
 
 def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None) -> RunResult:
-    """Minimize the objective from x0 under the given configuration."""
+    """Minimize the objective from x0 under the given configuration.
+
+    numpy's OpenBLAS, when found, runs on one thread until the call
+    returns or raises, oracle calls included; the caller's thread count
+    is restored afterwards.
+    """
     config = config or SolverConfig()
     p1 = resolved_point_count(spec, config)
     if config.max_evaluations < p1:
@@ -639,16 +650,17 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     trace: list[TraceRow] = []
     reason = None
     state = None
-    try:
-        state = initialize(spec, x0, config, evaluator)
-    except BudgetExhausted:
-        reason = TerminationReason.BUDGET_EXHAUSTED
-    if state is not None:
-        while reason is None:
-            try:
-                reason = step_iteration(state, spec, config, evaluator, trace)
-            except BudgetExhausted:
-                reason = TerminationReason.BUDGET_EXHAUSTED
+    with _blas.one_blas_thread:
+        try:
+            state = initialize(spec, x0, config, evaluator)
+        except BudgetExhausted:
+            reason = TerminationReason.BUDGET_EXHAUSTED
+        if state is not None:
+            while reason is None:
+                try:
+                    reason = step_iteration(state, spec, config, evaluator, trace)
+                except BudgetExhausted:
+                    reason = TerminationReason.BUDGET_EXHAUSTED
     return RunResult(
         x_best=evaluator.best_point,
         f_best=evaluator.best_value,

@@ -1,6 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from util import availability, build_training_set, random_quadratic
+
+from hermiteopt import _blas
 
 from hermiteopt.driver import (
     Evaluator,
@@ -23,7 +31,7 @@ from hermiteopt.models import (
     assemble_full_interp,
     assemble_hermite_ls,
 )
-from hermiteopt.problem import Bounds, EvaluationBudget, TaylorReference
+from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference
 from hermiteopt.testbed import get_problem, mask_availability
 
 
@@ -110,6 +118,19 @@ class TestRunBehavior:
                 problem.x_start, 0.1, problem.bounds, 5
             ))
         )
+
+    def test_one_dimensional_default_kind_interpolates(self):
+        # the default bobyqa set at n = 1 has q1 = 3 points, where the
+        # min-Frobenius model is the quadratic interpolant
+        spec = ObjectiveSpec(
+            dimension=1,
+            value=lambda x: float((x[0] - 0.3) ** 2),
+            bounds=Bounds(np.array([-2.0]), np.array([2.0])),
+        )
+        result = run(spec, np.array([1.0]))
+        assert result.reason is TerminationReason.STEP_SIZE_TINY
+        assert result.f_best < 1e-20
+        assert result.x_best == pytest.approx([0.3])
 
     def test_budget_below_point_count_rejected(self):
         problem, spec = spec_for("sphere2")
@@ -333,3 +354,143 @@ def test_default_point_counts_match_formulas():
     assert default_point_count(ModelKind.HERMITE_LS, 3, (1, 2)) == 5
     # with no derivatives it degenerates to the square interpolation count
     assert default_point_count(ModelKind.HERMITE_LS, 2, ()) == 6
+
+
+OPENBLAS = _blas.find_openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS entry points not found")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, the count before it restored after."""
+    get, set_ = OPENBLAS
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+def _counting_spec(get, seen, fail_after=None):
+    problem = get_problem("rosenbrock2")
+
+    def value(x):
+        if fail_after is not None and len(seen) >= fail_after:
+            raise RuntimeError("oracle failed")
+        seen.append(get())
+        return problem.value(x)
+
+    return problem, dataclasses.replace(mask_availability(problem, {2}), value=value)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    def test_oracle_sees_one_thread_and_count_is_restored(self, two_blas_threads):
+        seen = []
+        problem, spec = _counting_spec(two_blas_threads, seen)
+        run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=40))
+        assert len(seen) == 40 and set(seen) == {1}
+        assert two_blas_threads() == 2
+
+    def test_count_restored_after_oracle_raises(self, two_blas_threads):
+        seen = []
+        problem, spec = _counting_spec(two_blas_threads, seen, fail_after=7)
+        with pytest.raises(RuntimeError, match="oracle failed"):
+            run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=40))
+        assert set(seen) == {1}
+        assert two_blas_threads() == 2
+
+    def test_concurrent_runs_restore_the_original_count(self, two_blas_threads):
+        # more threads than cores and a short switch interval, so that the
+        # holds of different runs interleave
+        seen = []
+        problem, spec = _counting_spec(two_blas_threads, seen)
+        config = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=30)
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(run(spec, problem.x_start, config)))
+            for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [r.evaluations for r in results] == [30] * 4
+        assert set(seen) == {1}
+        assert two_blas_threads() == 2
+
+
+def test_run_without_blas_entry_points_gives_the_same_result(monkeypatch):
+    problem, spec = spec_for("rosenbrock10", mask=(2, 5, 9))
+    config = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=150)
+    held = run(spec, problem.x_start, config)
+    monkeypatch.setattr(_blas, "one_blas_thread", _blas.ThreadLimit(lambda: None))
+    free = run(spec, problem.x_start, config)
+    assert np.array_equal(held.x_best, free.x_best)
+    assert (held.f_best, held.evaluations, held.iterations, held.reason) == (
+        free.f_best, free.evaluations, free.iterations, free.reason,
+    )
+    assert repr(held.trace) == repr(free.trace)
+
+
+class TestThreadLimit:
+    """The hold's bookkeeping, on a fake BLAS."""
+
+    def fake(self, count=3):
+        calls = []
+        state = {"count": count}
+
+        def set_(k):
+            calls.append(k)
+            state["count"] = k
+
+        return _blas.ThreadLimit(lambda: (lambda: state["count"], set_)), calls, state
+
+    def test_nested_holds_set_once_and_restore_once(self):
+        limit, calls, state = self.fake()
+        with limit:
+            with limit:
+                assert state["count"] == 1
+            assert state["count"] == 1
+        assert calls == [1, 3]
+
+    def test_restores_after_exception(self):
+        limit, calls, state = self.fake()
+        with pytest.raises(KeyError):
+            with limit:
+                raise KeyError("x")
+        assert calls == [1, 3] and state["count"] == 3
+
+    def test_lookup_runs_once_on_first_hold(self):
+        lookups = []
+        limit = _blas.ThreadLimit(lambda: lookups.append(1))
+        assert lookups == []
+        for _ in range(3):
+            with limit:
+                pass
+        assert lookups == [1]
+
+
+def test_import_skips_blas_lookup_and_lookup_loads_nothing():
+    code = """
+from pathlib import Path
+import hermiteopt, hermiteopt._blas as b
+assert not b.one_blas_thread._looked_up
+maps = Path("/proc/self/maps")
+def loaded():
+    if not maps.exists():
+        return set()
+    return {line.split()[-1] for line in maps.read_text().splitlines() if "/" in line}
+before = loaded()
+b.find_openblas()
+assert loaded() == before
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
