@@ -106,14 +106,27 @@ class TraceRow:
     model_error: float = float("nan")
 
 
+# why an evaluation was billed: the initial set, a trust-region trial,
+# a geometry improvement or a rank repair
+PURPOSES = ("init", "trial", "geometry", "repair")
+
+
 @dataclass
 class RunResult:
+    """The best point found and how the run got there.
+
+    ``evaluation_log`` holds one ``(purpose, best value so far)`` entry per
+    billed evaluation, in billing order; purposes are those of
+    ``PURPOSES``.
+    """
+
     x_best: np.ndarray
     f_best: float
     evaluations: int
     iterations: int
     reason: TerminationReason
     trace: list[TraceRow] = field(default_factory=list)
+    evaluation_log: list[tuple[str, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -126,19 +139,22 @@ class IterationState:
 
 
 class Evaluator:
-    """Bills evaluations and tracks the best recorded value."""
+    """Bills evaluations, tracks the best recorded value and logs each
+    evaluation's purpose with the best value after it."""
 
     def __init__(self, spec: ObjectiveSpec, budget: EvaluationBudget):
         self.spec = spec
         self.budget = budget
         self.best_value = math.inf
         self.best_point: np.ndarray | None = None
+        self.log: list[tuple[str, float]] = []
 
-    def __call__(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray, purpose: str):
         rec = evaluate(self.spec, x, self.budget)
         if rec.value < self.best_value:
             self.best_value = rec.value
             self.best_point = rec.point
+        self.log.append((purpose, self.best_value))
         return rec
 
     @property
@@ -314,7 +330,7 @@ def initialize(
         delta0 = 0.1 * max(1.0, float(np.max(np.abs(x0))))
     known_axes = tuple(d - 1 for d in spec.availability.directions)
     records = [
-        evaluator(p)
+        evaluator(p, "init")
         for p in initial_points(x0, delta0, spec.bounds, p1, known_axes)
     ]
     n = spec.dimension
@@ -453,7 +469,7 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), sta
         pick = candidates[int(np.argmax(scores))]
     else:
         pick = candidates[0]
-    return ts.replace(target, evaluator(pick)), target
+    return ts.replace(target, evaluator(pick, "repair")), target
 
 
 def model_error_diagnostic(
@@ -505,7 +521,7 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
         if stale or estimate_lambda(family, region).lam > config.lambda_threshold:
             proposal = propose_geometry_point(family, far, region)
             if _is_distinct(proposal, state.ts.points):
-                state.ts = state.ts.replace(far, evaluator(proposal))
+                state.ts = state.ts.replace(far, evaluator(proposal, "geometry"))
     except RankDeficient:
         pass
 
@@ -583,7 +599,7 @@ def step_iteration(
         return None
 
     trial = spec.bounds.clip(x_opt + step)
-    rec = evaluator(trial)
+    rec = evaluator(trial, "trial")
     r = (f_opt - rec.value) / decrease
     accepted = r >= config.eta1
 
@@ -668,4 +684,5 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
         iterations=state.iteration if state is not None else 0,
         reason=reason,
         trace=trace,
+        evaluation_log=evaluator.log,
     )

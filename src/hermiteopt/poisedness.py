@@ -80,6 +80,12 @@ def _unit_ball_draws(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return directions, radial
 
 
+def _ball_test_always_passes(center: np.ndarray, radius: float) -> bool:
+    """Whether no ball draw can fail the ball sample's norm test (see
+    ``Region._draw``)."""
+    return bool(1e-100 <= radius <= 1e100 and np.linalg.norm(center) <= 1e6 * radius)
+
+
 @dataclass(frozen=True)
 class Region:
     """Intersection of a trust ball with the box constraints."""
@@ -123,6 +129,13 @@ class Region:
         ball-box intersection stands in.  The default sample is drawn
         once per region and shared by every caller, so samples are
         read-only.
+
+        The ball sample skips its ball test when no bound face cuts the
+        ball, the radius lies in [1e-100, 1e100] and ``|center| <= 1e6 *
+        radius``: there rounding cannot push a draw past the test's
+        ``1e-9`` relative slack, so every draw would pass and the first
+        ``cap`` draws are the sample (proof in ``_draw``).  Other regions
+        walk the draws and test each one.
         """
         if per_axis is None and cap == LAMBDA_SAMPLE_CAP:
             return self._default_sample
@@ -133,6 +146,25 @@ class Region:
         return self._draw(None, LAMBDA_SAMPLE_CAP)
 
     def _draw(self, per_axis: int | None, cap: int) -> np.ndarray:
+        """The sample behind ``sample``.
+
+        The ball sample's test ``|fl(c + t) - c| <= reach``, with ``t =
+        r * rho * d`` for a draw and ``reach = r (1 + 1e-9)``, cannot fail
+        when ``1e-100 <= r <= 1e100`` and ``|c| <= 1e6 r`` (2-norms, unit
+        roundoff ``u = 2**-53``).  Every draw has ``|d_i| <= 1``, ``|d| <=
+        1 + (n/2 + 2) u`` (a normalized row) and ``rho <= 1``.  Rounding
+        ``r rho``, each product, the sum ``c + t`` and the difference with
+        ``c`` moves each entry by at most ``u (|c_i| + 4 |t_i|)`` to first
+        order, and the squares, row sum and square root of the norm add
+        ``(n/2 + 1) u`` relatively, so the computed norm is at most ``r (1
+        + (2n + 10) u) + 2u |c|``; ``reach`` is at least ``r (1 + 1e-9 -
+        3u)``.  The test thus passes while ``|c| / r`` is below about
+        ``4.5e6 - n``, and the ``1e6`` cut (whose own computed norm errs by
+        ``(n/2 + 2) u``) leaves more than a 2x margin up to n = 2e6.  The
+        radius range keeps every square clear of overflow and every
+        underflow's absolute error far below ``u r``.  A non-finite center
+        or radius fails the cut and walks.
+        """
         n = self.center.size
         lo, hi = self.box
         if per_axis is None:
@@ -171,6 +203,15 @@ class Region:
             directions, radial = _unit_ball_draws(n, 2 * cap)
             low = np.flatnonzero(lo > self.center - self.radius)
             high = np.flatnonzero(hi < self.center + self.radius)
+            if not (low.size or high.size) and _ball_test_always_passes(self.center, self.radius):
+                # every draw would be kept, so the first ``cap`` are the
+                # sample, rounded as the walk rounds them
+                pts = np.empty((cap + 1, n))
+                pts[0] = self.center
+                np.multiply(directions[:cap], self.radius * radial[:cap], out=pts[1:])
+                pts[1:] += self.center
+                pts.flags.writeable = False
+                return pts
             kept, count = [], 0
             for start in range(0, len(directions), BALL_BLOCK):
                 stop = start + BALL_BLOCK
@@ -360,7 +401,8 @@ def estimate_lambda(
     pts = region.sample(per_axis)
     screened = np.zeros(family.coeffs.shape[1])
     for start in range(0, len(pts), GEMM_BLOCK):
-        block = np.abs(family.values(pts[start : start + GEMM_BLOCK]))
+        block = family.values(pts[start : start + GEMM_BLOCK])
+        np.abs(block, out=block)
         np.maximum(screened, np.max(block, axis=0), out=screened)
     lam = 0.0
     best_poly = None

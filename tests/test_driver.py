@@ -11,6 +11,7 @@ from util import availability, build_training_set, random_quadratic
 from hermiteopt import _blas
 
 from hermiteopt.driver import (
+    PURPOSES,
     Evaluator,
     ModelKind,
     SolverConfig,
@@ -22,6 +23,7 @@ from hermiteopt.driver import (
     initialize,
     model_error_diagnostic,
     ratio_test,
+    resolved_point_count,
     run,
 )
 from hermiteopt.exceptions import DegenerateModelDecrease, OutOfBounds
@@ -250,6 +252,52 @@ class TestDiagnostic:
         cfg_off = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=60)
         result_off = run(spec, problem.x_start, cfg_off)
         assert all(np.isnan(t.model_error) for t in result_off.trace)
+
+
+class TestEvaluationPurposes:
+    @staticmethod
+    def check_log(spec, config, result):
+        log = result.evaluation_log
+        assert len(log) == result.evaluations
+        purposes = [purpose for purpose, _ in log]
+        assert set(purposes) <= set(PURPOSES)
+        init = resolved_point_count(spec, config)
+        assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
+        best = [value for _, value in log]
+        assert all(b <= a for a, b in zip(best, best[1:]))
+        assert best[-1] == result.f_best
+        # every trace row's best value is the log's after that many evaluations
+        for row in result.trace:
+            assert log[row.evaluations - 1][1] == row.f_best
+        return purposes
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_log_has_one_entry_per_evaluation(self, kind):
+        problem, spec = spec_for("rosenbrock5", mask=(1, 3))
+        config = SolverConfig(kind=kind, max_evaluations=200)
+        result = run(spec, problem.x_start, config)
+        purposes = self.check_log(spec, config, result)
+        assert {"trial", "geometry"} <= set(purposes)
+
+    @pytest.mark.parametrize(
+        "name, kind, mask, budget",
+        [
+            ("zakharov10", ModelKind.HERMITE_BOBYQA, (2, 3, 4, 7, 8), 500),
+            ("trid4", ModelKind.HERMITE_LS, (1, 2), 150),
+        ],
+    )
+    def test_rank_repairs_are_logged(self, name, kind, mask, budget):
+        problem, spec = spec_for(name, mask=mask)
+        config = SolverConfig(kind=kind, max_evaluations=budget)
+        result = run(spec, problem.x_start, config)
+        assert "repair" in self.check_log(spec, config, result)
+
+    def test_budget_cut_leaves_no_entry_for_the_refused_call(self):
+        problem, spec = spec_for("rosenbrock2", mask=(2,))
+        config = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=12)
+        result = run(spec, problem.x_start, config)
+        assert result.reason is TerminationReason.BUDGET_EXHAUSTED
+        self.check_log(spec, config, result)
 
 
 class TestReachableStates:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from util import availability, build_training_set, poised_points, random_quadratic
 
 from hermiteopt.basis import MonomialBasis
@@ -18,6 +20,7 @@ from hermiteopt.poisedness import (
     SUM_IN_ORDER,
     LagrangeFamily,
     Region,
+    _ball_test_always_passes,
     _first_argmax_abs,
     _polish_abs,
     _unit_ball_draws,
@@ -678,6 +681,86 @@ class TestRegionSample:
         other = region.sample(5)
         assert other is not region.sample(5)
         assert not other.flags.writeable
+
+
+class TestOnePassBallSample:
+    """Face-free regions within the ``1e6`` center-to-radius cut skip the
+    ball test; every other ball region walks the draws and tests them."""
+
+    @staticmethod
+    def face_free_region(n, ratio, radius, seed, margin):
+        """A region whose center lies ``ratio`` radii from the origin, in a
+        box that is unbounded or whose faces lie ``margin`` radii past the
+        ball."""
+        direction = np.random.default_rng(seed).normal(size=n)
+        center = direction * (ratio * radius / np.linalg.norm(direction))
+        if margin is None:
+            return Region(center, radius, Bounds.unbounded(n))
+        return Region(center, radius, Bounds(center - margin * radius, center + margin * radius))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(9, 20),
+        log_ratio=st.floats(0.0, 6.0),
+        log_radius=st.floats(-8.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        margin=st.one_of(st.none(), st.floats(1.0, 10.0)),
+        cap=st.sampled_from([1000, 10_000]),
+    )
+    def test_face_free_sample_equals_fresh_draw(self, n, log_ratio, log_radius, seed, margin, cap):
+        # 1 - 1e-9 keeps rounding of the center's norm under the cut
+        ratio = 10.0**log_ratio * (1 - 1e-9)
+        region = self.face_free_region(n, ratio, 10.0**log_radius, seed, margin)
+        assert _ball_test_always_passes(region.center, region.radius)
+        pts = region.sample(cap=cap)
+        assert not pts.flags.writeable
+        assert np.array_equal(pts, TestRegionSample.fresh_draw(region, cap))
+        dist = np.linalg.norm(pts - region.center, axis=1)
+        assert np.all(dist <= region.radius * (1 + 1e-9))
+        # the proof's margin: rounding stays under half the test's slack
+        assert np.all(dist <= region.radius * (1 + 0.5e-9))
+
+    @pytest.mark.parametrize("n", [9, 10, 16, 20])
+    def test_regions_at_the_cut_and_the_default_sample(self, n):
+        for ratio in (1.0, 1e3, 1e6 * (1 - 1e-9)):
+            region = self.face_free_region(n, ratio, 1e-3, n, None)
+            assert _ball_test_always_passes(region.center, region.radius)
+            assert np.array_equal(region.sample(), TestRegionSample.fresh_draw(region, 10_000))
+
+    @pytest.mark.parametrize("n", [9, 10, 20])
+    def test_regions_past_the_cut_walk(self, n):
+        for ratio in (1e6 * (1 + 1e-6), 2e6, 1e8):
+            region = self.face_free_region(n, ratio, 0.5, n, None)
+            assert not _ball_test_always_passes(region.center, region.radius)
+            assert np.array_equal(region.sample(cap=3000), TestRegionSample.fresh_draw(region, 3000))
+
+    @pytest.mark.parametrize("faces", ["lower", "upper", "both", "tiny"])
+    def test_regions_with_a_face_walk(self, faces):
+        rng = np.random.default_rng(len(faces))
+        for n in (9, 10, 14):
+            region = TestRegionSample.region_with_faces(n, faces, rng)
+            lo, hi = region.box
+            assert np.any(lo > region.center - region.radius) or np.any(hi < region.center + region.radius)
+            assert np.array_equal(region.sample(cap=3000), TestRegionSample.fresh_draw(region, 3000))
+
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            (np.full(10, np.nan), 1.0),
+            (np.r_[np.inf, np.zeros(9)], 1.0),
+            (np.zeros(10), np.nan),
+            (np.zeros(10), np.inf),
+            (np.zeros(10), 1e-120),
+            (np.zeros(10), 1e120),
+        ],
+    )
+    def test_non_finite_and_extreme_regions_walk(self, center, radius):
+        region = Region(center, radius, Bounds.unbounded(10))
+        assert not _ball_test_always_passes(region.center, region.radius)
+        with np.errstate(invalid="ignore"):
+            pts = region.sample(cap=2000)
+            expected = TestRegionSample.fresh_draw(region, 2000)
+        assert np.array_equal(pts, expected, equal_nan=True)
 
 
 class TestTheorem1:
