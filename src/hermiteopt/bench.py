@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -30,8 +29,6 @@ from .testbed import (
     second_order_closure,
 )
 from .yields import START_POINT, YIELD_MODES, yield_objective
-
-WORKERS_ENV = "HERMITEOPT_WORKERS"
 
 RESULT_COLUMNS = (
     "problem",
@@ -271,7 +268,7 @@ def _run_planned(case: PlanCase, plan: ExperimentPlan) -> dict:
 def run_plan(
     plan: ExperimentPlan,
     out_path: str | Path,
-    workers: int | None = None,
+    workers: int = 1,
     json_mirror: bool = False,
 ) -> list[dict]:
     """Execute every run of the plan and write the results CSV.
@@ -285,8 +282,6 @@ def run_plan(
     reproduce the file byte for byte.
     """
     expanded = expand_plan(plan)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1 and expanded:
         # imported here: multiprocessing adds about 1 MB and some import
         # time to every process that loads the package

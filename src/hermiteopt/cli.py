@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a solver x problem x mask grid")
     _add_run_flags(p_run)
     p_run.add_argument("--json", action="store_true", help="also write a JSON mirror")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=1)
 
     p_sum = sub.add_parser("summarize", help="group means from a results CSV")
     p_sum.add_argument("results", help="results CSV produced by `run`")

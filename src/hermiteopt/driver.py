@@ -22,6 +22,7 @@ from .exceptions import (
     BudgetExhausted,
     DegenerateModelDecrease,
     DuplicatePoint,
+    NonFiniteValue,
     OutOfBounds,
     RankDeficient,
 )
@@ -62,36 +63,41 @@ class TerminationReason(Enum):
     RADIUS_BELOW_MIN = "radius-below-min"
     BUDGET_EXHAUSTED = "budget-exhausted"
     STEP_SIZE_TINY = "step-size-tiny"
+    NONFINITE_VALUE = "nonfinite-value"
+
+
+# Powell's trust-region constants: a trial is accepted at ratio >= ETA1;
+# at ratio >= ETA2 the radius grows by GAMMA_INC, capped at
+# MAX_RADIUS_FACTOR times the initial radius; a rejection shrinks it by
+# GAMMA_DEC
+ETA1 = 0.05
+ETA2 = 0.7
+GAMMA_DEC = 0.5
+GAMMA_INC = 2.0
+MAX_RADIUS_FACTOR = 1e3
+# a set whose farthest point lies beyond STALE_FACTOR radii is stale
+STALE_FACTOR = 8.0
+# a subproblem step shorter than this ends the run
+STEP_TINY = 1e-14
+# singular values below NULL_RTOL * s[0] span a system's null space
+NULL_RTOL = 1e-10
 
 
 @dataclass
 class SolverConfig:
-    """Trust-region parameters; defaults are conventional values."""
+    """What a caller chooses; the trust-region constants are fixed above."""
 
     kind: ModelKind = ModelKind.BOBYQA
-    point_count: int | None = None
     initial_radius: float | None = None
     min_radius: float = 1e-8
-    eta1: float = 0.05
-    eta2: float = 0.7
-    gamma_dec: float = 0.5
-    gamma_inc: float = 2.0
-    max_radius_factor: float = 1e3
     max_evaluations: int = 500
     weighting: bool = False
-    weight_scale: float = 5.0
     second_order: bool = False
     lambda_threshold: float = 100.0
-    stale_factor: float = 8.0
     model_error_diagnostic: bool = False
     diagnostic_halfwidth: float = 0.01
-    step_tiny: float = 1e-14
 
     def __post_init__(self):
-        if not 0 < self.eta1 < self.eta2 < 1:
-            raise ValueError("need 0 < eta1 < eta2 < 1")
-        if not 0 < self.gamma_dec < 1 < self.gamma_inc:
-            raise ValueError("need 0 < gamma_dec < 1 < gamma_inc")
         if self.initial_radius is not None and self.initial_radius <= self.min_radius:
             raise ValueError("initial radius must exceed the minimum radius")
 
@@ -115,6 +121,8 @@ PURPOSES = ("init", "trial", "geometry", "repair")
 class RunResult:
     """The best point found and how the run got there.
 
+    ``x_best`` and ``f_best`` are the best finite evaluation; ``x_best`` is
+    None (and ``f_best`` inf) when no evaluation returned a finite value.
     ``evaluation_log`` holds one ``(purpose, best value so far)`` entry per
     billed evaluation, in billing order; purposes are those of
     ``PURPOSES``.
@@ -140,7 +148,11 @@ class IterationState:
 
 class Evaluator:
     """Bills evaluations, tracks the best recorded value and logs each
-    evaluation's purpose with the best value after it."""
+    evaluation's purpose with the best value after it.
+
+    A non-finite value is billed and logged but never becomes the best;
+    it then raises NonFiniteValue, which ends the run.
+    """
 
     def __init__(self, spec: ObjectiveSpec, budget: EvaluationBudget):
         self.spec = spec
@@ -151,10 +163,13 @@ class Evaluator:
 
     def __call__(self, x: np.ndarray, purpose: str):
         rec = evaluate(self.spec, x, self.budget)
-        if rec.value < self.best_value:
+        finite = math.isfinite(rec.value)
+        if finite and rec.value < self.best_value:
             self.best_value = rec.value
             self.best_point = rec.point
         self.log.append((purpose, self.best_value))
+        if not finite:
+            raise NonFiniteValue(f"objective value {rec.value} at {rec.point}")
         return rec
 
     @property
@@ -182,7 +197,7 @@ def default_point_count(
     pairs=(),
     second_order: bool = False,
 ) -> int:
-    """Training-set size used when the configuration does not override it.
+    """Training-set size of a run.
 
     Full interpolation needs the complete quadratic count and the
     Frobenius kinds default to 2n+1.  Hermite least squares starts from
@@ -212,7 +227,7 @@ def default_point_count(
 
 def resolved_point_count(spec: ObjectiveSpec, config: SolverConfig) -> int:
     avail = spec.availability
-    return config.point_count or default_point_count(
+    return default_point_count(
         config.kind,
         spec.dimension,
         avail.directions,
@@ -230,11 +245,6 @@ def predicted_decrease(f_old: float, m_old: float, m_new: float) -> float:
             f"model decrease {decrease:.3e} is below resolution"
         )
     return decrease
-
-
-def ratio_test(f_old: float, f_new: float, m_old: float, m_new: float) -> float:
-    """Actual decrease over model-predicted decrease."""
-    return (f_old - f_new) / predicted_decrease(f_old, m_old, m_new)
 
 
 def _is_distinct(point: np.ndarray, points: np.ndarray) -> bool:
@@ -391,7 +401,7 @@ def _repair_candidates(n: int, direction: np.ndarray):
 
 def _null_basis(sys) -> np.ndarray:
     _, s, Vt = sys.svd
-    null = Vt[s <= max(1e-10 * s[0], np.finfo(float).tiny)]
+    null = Vt[s <= max(NULL_RTOL * s[0], np.finfo(float).tiny)]
     return null if null.size else Vt[-1:]
 
 
@@ -421,7 +431,7 @@ def _redundancy_order(sys, point_count: int, incumbent_index: int):
     """Training indices sorted from most to least redundant, judged by the
     total leverage of each point's rows in the non-null row space."""
     U, s, _ = sys.svd
-    keep = s > 1e-10 * s[0]
+    keep = s > NULL_RTOL * s[0]
     leverage_rows = np.sum(U[:, keep] ** 2, axis=1)
     totals = np.zeros(point_count)
     for r, tag in enumerate(sys.row_tags):
@@ -432,7 +442,7 @@ def _redundancy_order(sys, point_count: int, incumbent_index: int):
     return [int(i) for i in order if i != incumbent_index]
 
 
-def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), stale_factor=8.0):
+def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
     """Swap one point for a fresh geometry point near the incumbent.
 
     A rank-deficient system has no Lagrange polynomials, so the repair
@@ -448,7 +458,7 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=(), sta
     D = ts.points - x_opt
     _, _, Vt = np.linalg.svd(D, full_matrices=True)
     dist = np.linalg.norm(D, axis=1)
-    if float(np.max(dist)) > stale_factor * delta:
+    if float(np.max(dist)) > STALE_FACTOR * delta:
         order = [int(i) for i in np.argsort(-dist) if i != ts.incumbent_index]
     else:
         order = _redundancy_order(sys_scaled, ts.size, ts.incumbent_index)
@@ -517,13 +527,19 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
         far = _farthest_index(state.ts)
         far_dist = float(np.linalg.norm(state.ts.records[far].point - x_opt))
         region = Region(x_opt, max(state.radius, config.min_radius), spec.bounds)
-        stale = far_dist > config.stale_factor * delta
+        stale = far_dist > STALE_FACTOR * delta
         if stale or estimate_lambda(family, region).lam > config.lambda_threshold:
             proposal = propose_geometry_point(family, far, region)
             if _is_distinct(proposal, state.ts.points):
                 state.ts = state.ts.replace(far, evaluator(proposal, "geometry"))
     except RankDeficient:
         pass
+
+
+def _set_radius(state: IterationState, radius: float, config: SolverConfig) -> TerminationReason | None:
+    """Adopt the next radius; the run stops once it falls below the minimum."""
+    state.radius = radius
+    return TerminationReason.RADIUS_BELOW_MIN if radius < config.min_radius else None
 
 
 def step_iteration(
@@ -546,9 +562,7 @@ def step_iteration(
         sys_scaled = apply_scaling(_assemble(state.ts, spec, config, state), delta)
         solvable = sys_scaled
         if config.weighting and solvable.kind in HERMITE_KINDS:
-            solvable = apply_weighting(
-                solvable, WeightScheme(True, config.weight_scale), state.ts
-            )
+            solvable = apply_weighting(solvable, WeightScheme(), state.ts)
         try:
             model = solve_system(solvable)
             break
@@ -562,17 +576,13 @@ def step_iteration(
                 delta,
                 sys_scaled,
                 skip=repaired,
-                stale_factor=config.stale_factor,
             )
             if replaced is None:
                 break
             repaired.add(replaced)
     if model is None:
         # geometry repair failed to restore rank; shrink and try again
-        state.radius = config.gamma_dec * delta
-        if state.radius < config.min_radius:
-            return TerminationReason.RADIUS_BELOW_MIN
-        return None
+        return _set_radius(state, GAMMA_DEC * delta, config)
 
     if config.kind in FROBENIUS_KINDS:
         state.h_prev = model.H
@@ -586,22 +596,28 @@ def step_iteration(
 
     step = solve_subproblem(model, x_opt, delta, spec.bounds)
     step_norm = math.sqrt(float(step.dot(step)))
-    if step_norm < config.step_tiny:
+    if step_norm < STEP_TINY:
         return TerminationReason.STEP_SIZE_TINY
 
     try:
         decrease = predicted_decrease(f_opt, model.value(x_opt), model.value(x_opt + step))
     except DegenerateModelDecrease:
         # reject without spending the budget
-        state.radius = config.gamma_dec * delta
-        if state.radius < config.min_radius:
-            return TerminationReason.RADIUS_BELOW_MIN
-        return None
+        return _set_radius(state, GAMMA_DEC * delta, config)
 
     trial = spec.bounds.clip(x_opt + step)
     rec = evaluator(trial, "trial")
     r = (f_opt - rec.value) / decrease
-    accepted = r >= config.eta1
+    accepted = r >= ETA1
+    # grow only when the step actually used the radius, otherwise the
+    # radius runs away on tiny near-convergence steps
+    if not accepted:
+        radius = GAMMA_DEC * delta
+    elif r >= ETA2 and step_norm >= 0.5 * delta:
+        radius = min(GAMMA_INC * delta, MAX_RADIUS_FACTOR * state.initial_radius)
+    else:
+        radius = delta
+    stop = _set_radius(state, radius, config)
 
     if accepted:
         try:
@@ -612,26 +628,17 @@ def step_iteration(
             state.ts = state.ts.replace(outgoing, rec)
         except DuplicatePoint:
             pass
-        # grow only when the step actually used the radius, otherwise the
-        # radius runs away on tiny near-convergence steps
-        if r >= config.eta2 and step_norm >= 0.5 * delta:
-            state.radius = min(
-                config.gamma_inc * delta,
-                config.max_radius_factor * state.initial_radius,
-            )
         # a crawl of tiny accepted steps never rejects, so it would never
         # reach the geometry check below; bad geometry sustains exactly
         # that pattern by freezing the model transverse to the crawl
         if step_norm < 0.1 * delta:
             _improve_geometry_if_poor(state, spec, config, evaluator, delta)
-    else:
-        state.radius = config.gamma_dec * delta
-        # a trial that changed nothing means the function is flat at this
-        # resolution; fresh geometry points would all repeat that value
-        if rec.value != f_opt:
-            # the training set is unchanged, so this iteration's system
-            # and its factorization still describe it
-            _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
+    # a trial that changed nothing means the function is flat at this
+    # resolution; fresh geometry points would all repeat that value
+    elif rec.value != f_opt:
+        # the training set is unchanged, so this iteration's system and
+        # its factorization still describe it
+        _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
 
     trace.append(
         TraceRow(
@@ -643,9 +650,7 @@ def step_iteration(
             model_error=diag_value,
         )
     )
-    if state.radius < config.min_radius:
-        return TerminationReason.RADIUS_BELOW_MIN
-    return None
+    return stop
 
 
 def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None) -> RunResult:
@@ -669,14 +674,12 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     with _blas.one_blas_thread:
         try:
             state = initialize(spec, x0, config, evaluator)
+            while reason is None:
+                reason = step_iteration(state, spec, config, evaluator, trace)
         except BudgetExhausted:
             reason = TerminationReason.BUDGET_EXHAUSTED
-        if state is not None:
-            while reason is None:
-                try:
-                    reason = step_iteration(state, spec, config, evaluator, trace)
-                except BudgetExhausted:
-                    reason = TerminationReason.BUDGET_EXHAUSTED
+        except NonFiniteValue:
+            reason = TerminationReason.NONFINITE_VALUE
     return RunResult(
         x_best=evaluator.best_point,
         f_best=evaluator.best_value,

@@ -56,3 +56,7 @@ class UnknownProblem(HermiteOptError):
 
 class MalformedInput(HermiteOptError):
     """A results or plan file cannot be parsed."""
+
+
+class NonFiniteValue(HermiteOptError):
+    """The objective returned NaN or an infinite value."""

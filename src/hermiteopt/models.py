@@ -33,6 +33,8 @@ from .problem import TrainingSet
 
 # relative singular-value cutoff below which a system counts as rank deficient
 RANK_TOLERANCE = 1e-12
+# exponential distance-weighting scale of the regression rows
+WEIGHT_SCALE = 5.0
 
 
 class ModelKind(Enum):
@@ -104,8 +106,7 @@ class WeightScheme:
     set, so the nearest point carries the largest weight.
     """
 
-    enabled: bool = True
-    scale: float = 5.0
+    scale: float = WEIGHT_SCALE
 
     def weights(self, ts: TrainingSet) -> np.ndarray:
         d = np.linalg.norm(ts.points - ts.incumbent_record.point, axis=1)
@@ -145,10 +146,8 @@ class AssembledSystem:
     basis: MonomialBasis
     shifted_points: np.ndarray | None = None
     h_prev: np.ndarray | None = None
-    trust_radius: float | None = None
     col_scale: np.ndarray | None = None
     row_scale: np.ndarray | None = None
-    weighted: bool = False
 
     @property
     def scaled(self) -> bool:
@@ -432,7 +431,6 @@ def apply_scaling(sys: AssembledSystem, delta: float) -> AssembledSystem:
         sys,
         matrix=left[:, None] * sys.matrix * right[None, :],
         rhs=left * sys.rhs,
-        trust_radius=delta,
         col_scale=right,
         row_scale=left,
     )
@@ -447,8 +445,6 @@ def apply_weighting(sys: AssembledSystem, scheme: WeightScheme, ts: TrainingSet)
     """
     if sys.kind not in HERMITE_KINDS:
         raise KindMismatch(f"weighting does not apply to {sys.kind.value}")
-    if not scheme.enabled:
-        return sys
     w = scheme.weights(ts)
     row_w = np.ones(sys.rows)
     for r, tag in enumerate(sys.row_tags):
@@ -459,7 +455,6 @@ def apply_weighting(sys: AssembledSystem, scheme: WeightScheme, ts: TrainingSet)
         sys,
         matrix=row_w[:, None] * sys.matrix,
         rhs=row_w * sys.rhs,
-        weighted=True,
     )
 
 

@@ -49,7 +49,6 @@ from .basis import MonomialBasis
 from .models import (
     FROBENIUS_KINDS,
     AssembledSystem,
-    ModelKind,
     QuadraticModel,
     require_full_rank,
 )
@@ -236,8 +235,6 @@ class Region:
 @dataclass(frozen=True)
 class PoisednessEstimate:
     lam: float
-    region: Region
-    samples: int
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,6 @@ class LagrangeFamily:
     belong to the derivative rows those tags name, in system order.
     """
 
-    kind: ModelKind
     center: np.ndarray
     coeffs: np.ndarray
     constants: np.ndarray
@@ -349,7 +345,6 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
     constants = np.zeros(coeffs.shape[1])
     constants[incumbent] = 1.0
     return LagrangeFamily(
-        kind=sys.kind,
         center=sys.shift,
         coeffs=coeffs,
         constants=constants,
@@ -417,7 +412,7 @@ def estimate_lambda(
     if polish_steps and best_poly is not None:
         _, val = _polish_abs(best_poly, best_pt, region, polish_steps)
         lam = max(lam, val)
-    return PoisednessEstimate(lam=lam, region=region, samples=len(pts))
+    return PoisednessEstimate(lam=lam)
 
 
 def select_outgoing(family: LagrangeFamily, y_add: np.ndarray) -> int:

@@ -113,14 +113,6 @@ class DerivativeAvailability:
         """Known second-order pairs in lexicographic order."""
         return tuple(sorted(self.second_order))
 
-    @classmethod
-    def none(cls) -> "DerivativeAvailability":
-        return cls()
-
-    @classmethod
-    def full_gradient(cls, n: int) -> "DerivativeAvailability":
-        return cls(first_order=frozenset(range(1, n + 1)))
-
 
 @dataclass(frozen=True)
 class TaylorReference:
@@ -194,10 +186,6 @@ class EvaluationBudget:
 
     max_evaluations: int
     evaluations_used: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return self.max_evaluations - self.evaluations_used
 
     def charge(self) -> None:
         if self.evaluations_used >= self.max_evaluations:

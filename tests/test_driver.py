@@ -22,7 +22,7 @@ from hermiteopt.driver import (
     initial_points,
     initialize,
     model_error_diagnostic,
-    ratio_test,
+    predicted_decrease,
     resolved_point_count,
     run,
 )
@@ -95,16 +95,11 @@ class TestInitialization:
             )
 
 
-class TestRatioTest:
-    def test_perfect_model(self):
-        assert ratio_test(10.0, 4.0, 10.0, 4.0) == pytest.approx(1.0)
-
-    def test_no_actual_decrease(self):
-        assert ratio_test(10.0, 10.0, 10.0, 9.0) == 0.0
-
+class TestPredictedDecrease:
     def test_degenerate_decrease(self):
+        assert predicted_decrease(10.0, 10.0, 4.0) == 6.0
         with pytest.raises(DegenerateModelDecrease):
-            ratio_test(1.0, 0.9, 1.0, 1.0 - 1e-20)
+            predicted_decrease(1.0, 1.0, 1.0 - 1e-20)
 
 
 class TestRunBehavior:
@@ -300,6 +295,52 @@ class TestEvaluationPurposes:
         self.check_log(spec, config, result)
 
 
+class TestNonFiniteValues:
+    @staticmethod
+    def poisoned(bad, at):
+        """rosenbrock2, with the derivative in direction 2 known, whose
+        ``at``-th objective call (counted from 1) returns ``bad``."""
+        problem = get_problem("rosenbrock2")
+        calls = []
+
+        def value(x):
+            calls.append(np.array(x))
+            return bad if len(calls) == at else problem.value(x)
+
+        return problem, dataclasses.replace(mask_availability(problem, {2}), value=value), calls
+
+    @pytest.mark.parametrize("kind", [ModelKind.HERMITE_LS, ModelKind.BOBYQA])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("at", [3, 20])  # 3 lies inside the initial set
+    def test_run_stops_with_the_best_finite_point(self, kind, bad, at):
+        problem, spec, calls = self.poisoned(bad, at)
+        config = SolverConfig(kind=kind, max_evaluations=100)
+        assert resolved_point_count(spec, config) > 3
+        result = run(spec, problem.x_start, config)
+        assert result.reason is TerminationReason.NONFINITE_VALUE
+        # the bad value is billed and logged, and nothing is evaluated after it
+        assert result.evaluations == len(calls) == len(result.evaluation_log) == at
+        f_best, i_best = min((problem.value(x), i) for i, x in enumerate(calls[:-1]))
+        assert result.f_best == f_best
+        assert np.array_equal(result.x_best, calls[i_best])
+        best = [value for _, value in result.evaluation_log]
+        assert all(np.isfinite(best)) and best[-1] == f_best
+        assert all(b <= a for a, b in zip(best, best[1:]))
+        purposes = [purpose for purpose, _ in result.evaluation_log]
+        init = min(at, resolved_point_count(spec, config))
+        assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
+        assert all(row.evaluations < at for row in result.trace)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_first_value_non_finite_leaves_no_best_point(self, bad):
+        problem, spec, calls = self.poisoned(bad, 1)
+        result = run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS))
+        assert result.reason is TerminationReason.NONFINITE_VALUE
+        assert result.evaluations == len(calls) == 1 and result.iterations == 0
+        assert result.x_best is None and result.f_best == float("inf")
+        assert result.evaluation_log == [("init", float("inf"))]
+
+
 class TestReachableStates:
     def test_training_set_invariants_along_a_run(self):
         # every training set the loop reaches keeps its points feasible,
@@ -378,14 +419,6 @@ class TestRankRepairScores:
 
 
 class TestConfigValidation:
-    def test_eta_ordering(self):
-        with pytest.raises(ValueError):
-            SolverConfig(eta1=0.8, eta2=0.2)
-
-    def test_gamma_ordering(self):
-        with pytest.raises(ValueError):
-            SolverConfig(gamma_dec=1.5)
-
     def test_radius_ordering(self):
         with pytest.raises(ValueError):
             SolverConfig(initial_radius=1e-9, min_radius=1e-8)

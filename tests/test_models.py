@@ -349,12 +349,6 @@ class TestWeighting:
         assert np.array_equal(weighted.matrix[:p_n], sys.matrix[:p_n])
         assert not np.array_equal(weighted.matrix[p_n:], sys.matrix[p_n:])
 
-    def test_disabled_scheme_is_identity(self):
-        rng = np.random.default_rng(31)
-        ts, _ = quad_set(2, 4, rng, directions=(1,))
-        sys = assemble_hermite_ls(ts, availability((1,)))
-        assert apply_weighting(sys, WeightScheme(enabled=False), ts) is sys
-
 
 class TestSolve:
     def test_square_solve_residual(self):

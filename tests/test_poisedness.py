@@ -6,7 +6,6 @@ from util import availability, build_training_set, poised_points, random_quadrat
 
 from hermiteopt.basis import MonomialBasis
 from hermiteopt.models import (
-    ModelKind,
     QuadraticModel,
     apply_scaling,
     assemble_full_interp,
@@ -133,7 +132,6 @@ class TestSelectOutgoing:
         # three identical constant polynomials: coefficient columns all zero
         center = np.zeros(2)
         family = LagrangeFamily(
-            kind=ModelKind.FULL_INTERP,
             center=center,
             coeffs=np.zeros((5, 3)),
             constants=np.full(3, 0.5),
@@ -164,7 +162,6 @@ class TestProposeGeometry:
         # one polynomial, l(x) = x_1: its coefficient column is e_1
         center = np.zeros(2)
         family = LagrangeFamily(
-            kind=ModelKind.FULL_INTERP,
             center=center,
             coeffs=np.array([[1.0], [0.0], [0.0], [0.0], [0.0]]),
             constants=np.zeros(1),
@@ -506,7 +503,6 @@ class TestExactTies:
         rng = np.random.default_rng(80)
         q = MonomialBasis(10).size - 1
         family = LagrangeFamily(
-            kind=ModelKind.FULL_INTERP,
             center=rng.normal(size=10) * 0.1,
             coeffs=rng.normal(size=(q, 40)),
             constants=rng.normal(size=40),
