@@ -54,6 +54,21 @@ SUMMARY_COLUMNS = (
     "delta_vs_bobyqa_pct",
 )
 
+TRACE_COLUMNS = (
+    "iteration",
+    "evaluations",
+    "radius",
+    "f_best",
+    "accepted",
+    "model_error",
+    "ratio",
+    "step_norm",
+    "predicted_decrease",
+    "repairs",
+    "lam",
+    "lam_bound",
+)
+
 # relative f-gap against the reference optimum that counts as success
 SUCCESS_RTOL = 1e-6
 
@@ -372,22 +387,14 @@ def summarize(results_path: str | Path, out_path: str | Path) -> list[dict]:
 
 
 def trace_export(result: RunResult, path: str | Path) -> None:
-    """Per-iteration trace as CSV, suitable for external plotting."""
+    """Per-iteration trace as CSV, suitable for external plotting; a
+    field the iteration did not compute is an empty cell."""
     if not result.trace:
         raise ValueError("run produced an empty trace")
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("iteration", "evaluations", "radius", "f_best", "accepted", "model_error")
-        )
+        writer.writerow(TRACE_COLUMNS)
         for row in result.trace:
             writer.writerow(
-                [
-                    row.iteration,
-                    row.evaluations,
-                    _fmt(row.radius),
-                    _fmt(row.f_best),
-                    int(row.accepted),
-                    _fmt(row.model_error),
-                ]
+                [int(row.accepted) if c == "accepted" else _fmt(getattr(row, c)) for c in TRACE_COLUMNS]
             )

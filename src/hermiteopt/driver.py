@@ -23,6 +23,7 @@ from .exceptions import (
     DegenerateModelDecrease,
     DuplicatePoint,
     NonFiniteValue,
+    OracleError,
     OutOfBounds,
     RankDeficient,
 )
@@ -42,6 +43,7 @@ from .models import (
 )
 from .poisedness import (
     Region,
+    column_bounds,
     estimate_lambda,
     lagrange_family,
     propose_geometry_point,
@@ -64,6 +66,7 @@ class TerminationReason(Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
     STEP_SIZE_TINY = "step-size-tiny"
     NONFINITE_VALUE = "nonfinite-value"
+    ORACLE_ERROR = "oracle-error"
 
 
 # Powell's trust-region constants: a trial is accepted at ratio >= ETA1;
@@ -104,12 +107,27 @@ class SolverConfig:
 
 @dataclass
 class TraceRow:
+    """One iteration that reached its trial evaluation.
+
+    ``ratio`` is actual over predicted decrease, ``repairs`` the rank
+    repairs billed before the model solved, ``lam`` the poisedness
+    estimate when one ran and ``lam_bound`` the largest Lagrange column
+    bound when the poisedness test ran; fields an iteration did not
+    compute are NaN.
+    """
+
     iteration: int
     evaluations: int
     radius: float
     f_best: float
     accepted: bool
     model_error: float = float("nan")
+    ratio: float = float("nan")
+    step_norm: float = float("nan")
+    predicted_decrease: float = float("nan")
+    repairs: int = 0
+    lam: float = float("nan")
+    lam_bound: float = float("nan")
 
 
 # why an evaluation was billed: the initial set, a trust-region trial,
@@ -125,7 +143,8 @@ class RunResult:
     None (and ``f_best`` inf) when no evaluation returned a finite value.
     ``evaluation_log`` holds one ``(purpose, best value so far)`` entry per
     billed evaluation, in billing order; purposes are those of
-    ``PURPOSES``.
+    ``PURPOSES``.  ``error`` is the exception an oracle raised when that
+    ended the run (``ORACLE_ERROR``), else None.
     """
 
     x_best: np.ndarray
@@ -135,6 +154,7 @@ class RunResult:
     reason: TerminationReason
     trace: list[TraceRow] = field(default_factory=list)
     evaluation_log: list[tuple[str, float]] = field(default_factory=list)
+    error: Exception | None = None
 
 
 @dataclass
@@ -151,7 +171,10 @@ class Evaluator:
     evaluation's purpose with the best value after it.
 
     A non-finite value is billed and logged but never becomes the best;
-    it then raises NonFiniteValue, which ends the run.
+    it then raises NonFiniteValue, which ends the run.  So does an
+    exception from the objective's callables, raised again as
+    OracleError; the solver's own BudgetExhausted and OutOfBounds, raised
+    before the call is billed, pass through unchanged.
     """
 
     def __init__(self, spec: ObjectiveSpec, budget: EvaluationBudget):
@@ -162,7 +185,13 @@ class Evaluator:
         self.log: list[tuple[str, float]] = []
 
     def __call__(self, x: np.ndarray, purpose: str):
-        rec = evaluate(self.spec, x, self.budget)
+        try:
+            rec = evaluate(self.spec, x, self.budget)
+        except (BudgetExhausted, OutOfBounds):
+            raise
+        except Exception as exc:
+            self.log.append((purpose, self.best_value))
+            raise OracleError(f"oracle raised at {x}") from exc
         finite = math.isfinite(rec.value)
         if finite and rec.value < self.best_value:
             self.best_value = rec.value
@@ -518,7 +547,13 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
     system of that set for radius ``delta`` when the caller still has it;
     the family ignores the previous Hessian and the right-hand side, so a
     system assembled before ``state.h_prev`` changed serves as well.
+
+    A set whose Lagrange column bounds all lie within the threshold is
+    well poised without an estimate: the estimate never exceeds the
+    largest bound.  Returns the estimate and that bound, each NaN when
+    not computed.
     """
+    lam = lam_bound = math.nan
     try:
         x_opt = state.ts.incumbent_record.point
         if sys_now is None:
@@ -528,12 +563,18 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
         far_dist = float(np.linalg.norm(state.ts.records[far].point - x_opt))
         region = Region(x_opt, max(state.radius, config.min_radius), spec.bounds)
         stale = far_dist > STALE_FACTOR * delta
-        if stale or estimate_lambda(family, region).lam > config.lambda_threshold:
+        if not stale:
+            lam_bound = float(np.max(column_bounds(family, region)))
+            # written so that a NaN bound certifies nothing
+            if not lam_bound <= config.lambda_threshold:
+                lam = estimate_lambda(family, region).lam
+        if stale or lam > config.lambda_threshold:
             proposal = propose_geometry_point(family, far, region)
             if _is_distinct(proposal, state.ts.points):
                 state.ts = state.ts.replace(far, evaluator(proposal, "geometry"))
     except RankDeficient:
         pass
+    return lam, lam_bound
 
 
 def _set_radius(state: IterationState, radius: float, config: SolverConfig) -> TerminationReason | None:
@@ -607,6 +648,7 @@ def step_iteration(
 
     trial = spec.bounds.clip(x_opt + step)
     rec = evaluator(trial, "trial")
+    lam = lam_bound = math.nan
     r = (f_opt - rec.value) / decrease
     accepted = r >= ETA1
     # grow only when the step actually used the radius, otherwise the
@@ -632,13 +674,13 @@ def step_iteration(
         # reach the geometry check below; bad geometry sustains exactly
         # that pattern by freezing the model transverse to the crawl
         if step_norm < 0.1 * delta:
-            _improve_geometry_if_poor(state, spec, config, evaluator, delta)
+            lam, lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta)
     # a trial that changed nothing means the function is flat at this
     # resolution; fresh geometry points would all repeat that value
     elif rec.value != f_opt:
         # the training set is unchanged, so this iteration's system and
         # its factorization still describe it
-        _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
+        lam, lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
 
     trace.append(
         TraceRow(
@@ -648,6 +690,12 @@ def step_iteration(
             f_best=evaluator.best_value,
             accepted=accepted,
             model_error=diag_value,
+            ratio=r,
+            step_norm=step_norm,
+            predicted_decrease=decrease,
+            repairs=len(repaired),
+            lam=lam,
+            lam_bound=lam_bound,
         )
     )
     return stop
@@ -671,6 +719,7 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     trace: list[TraceRow] = []
     reason = None
     state = None
+    error = None
     with _blas.one_blas_thread:
         try:
             state = initialize(spec, x0, config, evaluator)
@@ -680,6 +729,9 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
             reason = TerminationReason.BUDGET_EXHAUSTED
         except NonFiniteValue:
             reason = TerminationReason.NONFINITE_VALUE
+        except OracleError as exc:
+            reason = TerminationReason.ORACLE_ERROR
+            error = exc.__cause__
     return RunResult(
         x_best=evaluator.best_point,
         f_best=evaluator.best_value,
@@ -688,4 +740,5 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
         reason=reason,
         trace=trace,
         evaluation_log=evaluator.log,
+        error=error,
     )

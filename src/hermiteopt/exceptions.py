@@ -60,3 +60,8 @@ class MalformedInput(HermiteOptError):
 
 class NonFiniteValue(HermiteOptError):
     """The objective returned NaN or an infinite value."""
+
+
+class OracleError(HermiteOptError):
+    """An objective or derivative callable raised; the exception it raised
+    is the cause."""

@@ -35,6 +35,15 @@ alone could fall on the other side of a tie.
   none does, ``value_at`` runs over the whole sample.  It is never
   re-run on a subset, because its ``einsum`` rounds a row differently
   depending on the rows around it.
+
+A third scheme skips work that cannot change a choice.  ``column_bounds``
+bounds every column's |value| over a region from its coefficient norms
+alone (proof in its docstring).  When no bound exceeds the driver's
+poisedness threshold, no estimate could either, so the set is certified
+well poised without a scan.  ``estimate_lambda`` screens its first block
+of rows with every column and then drops the columns whose bound lies
+clearly below the best value seen, since none of them can come within
+``TIE_RTOL`` of the top.
 """
 
 from __future__ import annotations
@@ -60,6 +69,8 @@ POLISH_STEPS = 5
 GEMM_BLOCK = 512
 # screened values this close to the best are re-evaluated exactly
 TIE_RTOL = 1e-9
+# relative margin of ``column_bounds`` over every rounding it must absorb
+BOUND_RTOL = 1e-6
 # numpy sums rows shorter than this left to right (longer ones pairwise)
 SUM_IN_ORDER = 8
 # unit-ball draws shifted and tested per step of the ball sample's walk
@@ -353,6 +364,40 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
     )
 
 
+def column_bounds(family: LagrangeFamily, region: Region) -> np.ndarray:
+    """Upper bound on ``|l_j|`` over the region for every column ``j``.
+
+    Column ``j`` is ``c + g.d + d.H.d / 2`` with ``d = x - family.center``,
+    so ``|l_j(x)| <= |c| + |g| |d| + |H|_2 |d|^2 / 2`` (Cauchy-Schwarz),
+    and ``|H|_2 <= |H|_F``, the root of the squared diagonal entries of
+    the packed quadratic block plus twice its squared off-diagonal ones.
+    Every point the estimate visits has ``|d| <= |x - region.center| +
+    |region.center - family.center|``: sample points pass the ball test
+    at ``radius (1 + 1e-9)`` (the one-pass ball sample provably would,
+    see ``Region._draw``) and polish points are projected into the ball,
+    which rounds them at most a few unit roundoffs past it.  ``rho =
+    (radius + offset) (1 + BOUND_RTOL)`` therefore covers ``|d|``.
+
+    A computed value, from the GEMM screen or from ``value_at`` and
+    ``value``, errs from the exact one by at most about ``(n*n + 2n + 4)
+    u`` (``u`` the unit roundoff) of ``|c| + |g|.|d| + |d|.|H|.|d| / 2``
+    taken entrywise, which is at most the bound's exact value, since
+    ``|d|.|H|.|d| <= |H|_F |d|^2``.  The final ``(1 + BOUND_RTOL)``
+    factor absorbs that error and the rounding of the bound itself while
+    n is below about 1e4.  So no computed value exceeds its column's
+    bound.  A NaN coefficient gives a NaN bound, which callers must never
+    read as small.
+    """
+    n = family.center.size
+    offset = float(np.linalg.norm(region.center - family.center))
+    rho = (region.radius + offset) * (1 + BOUND_RTOL)
+    lin, quad = family.coeffs[:n], family.coeffs[n:]
+    weights = 2.0 - family.basis.pack_hessian(np.eye(n))
+    g_norm = np.sqrt(np.sum(lin * lin, axis=0))
+    h_frob = np.sqrt(weights @ (quad * quad))
+    return (np.abs(family.constants) + g_norm * rho + 0.5 * h_frob * rho * rho) * (1 + BOUND_RTOL)
+
+
 def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region, steps: int) -> tuple[np.ndarray, float]:
     """Projected ascent on |poly| from a seed point; deterministic."""
     x = np.array(x0, dtype=float)
@@ -392,13 +437,28 @@ def estimate_lambda(
     products; the columns near the overall maximum are then evaluated
     exactly, and the first of them with the largest value (at its first
     maximizing point) seeds the polish.
+
+    The first block screens every column.  The rest screen only the
+    columns whose ``column_bounds`` entry is not below the best value so
+    far by more than ``BOUND_RTOL``: a dropped column's computed values
+    stay below that best by about ``2 * BOUND_RTOL``, so it is never
+    within ``TIE_RTOL`` of the top, and the same column wins at the same
+    point.  The point columns sum to one everywhere, so the best value
+    is at least about one over their count, far from underflow.  A NaN
+    bound or best value drops nothing.
     """
     pts = region.sample(per_axis)
-    screened = np.zeros(family.coeffs.shape[1])
-    for start in range(0, len(pts), GEMM_BLOCK):
-        block = family.values(pts[start : start + GEMM_BLOCK])
-        np.abs(block, out=block)
-        np.maximum(screened, np.max(block, axis=0), out=screened)
+    block = family.values(pts[:GEMM_BLOCK])
+    screened = np.max(np.abs(block, out=block), axis=0)
+    if len(pts) > GEMM_BLOCK:
+        below = column_bounds(family, region) < np.max(screened) * (1 - BOUND_RTOL)
+        kept = np.flatnonzero(~below)
+        top = screened[kept]
+        for start in range(GEMM_BLOCK, len(pts), GEMM_BLOCK):
+            block = family.values(pts[start : start + GEMM_BLOCK], kept)
+            np.abs(block, out=block)
+            np.maximum(top, np.max(block, axis=0), out=top)
+        screened[kept] = top
     lam = 0.0
     best_poly = None
     best_pt = None

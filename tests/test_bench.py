@@ -204,8 +204,16 @@ class TestTraceExport:
         assert len(rows) == len(result.trace)
         assert set(rows[0]) == {
             "iteration", "evaluations", "radius", "f_best", "accepted", "model_error",
+            "ratio", "step_norm", "predicted_decrease", "repairs", "lam", "lam_bound",
         }
         assert all(r["model_error"] == "" for r in rows)
+        for r, row in zip(rows, result.trace):
+            assert float(r["ratio"]) == row.ratio and float(r["step_norm"]) > 0
+            assert float(r["predicted_decrease"]) > 0 and int(r["repairs"]) >= 0
+            assert (r["lam"] == "") == np.isnan(row.lam)
+            assert (r["lam_bound"] == "") == np.isnan(row.lam_bound)
+        # this run tests poisedness often and estimates lambda at least once
+        assert any(r["lam_bound"] != "" for r in rows) and any(r["lam"] != "" for r in rows)
 
     def test_diagnostic_column_populated(self, tmp_path):
         result = self.run_once(diagnostic=True)

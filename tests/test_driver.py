@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from util import availability, build_training_set, random_quadratic
 
-from hermiteopt import _blas
+from hermiteopt import _blas, driver
+from hermiteopt.bench import ExperimentPlan, _run_case, expand_plan, registry
 
 from hermiteopt.driver import (
     PURPOSES,
@@ -26,13 +27,14 @@ from hermiteopt.driver import (
     resolved_point_count,
     run,
 )
-from hermiteopt.exceptions import DegenerateModelDecrease, OutOfBounds
+from hermiteopt.exceptions import BudgetExhausted, DegenerateModelDecrease, OutOfBounds
 from hermiteopt.models import (
     QuadraticModel,
     apply_scaling,
     assemble_full_interp,
     assemble_hermite_ls,
 )
+from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_lambda, lagrange_family
 from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference
 from hermiteopt.testbed import get_problem, mask_availability
 
@@ -341,6 +343,143 @@ class TestNonFiniteValues:
         assert result.evaluation_log == [("init", float("inf"))]
 
 
+def oracle_spec(which, at, exc):
+    """rosenbrock2 with the derivative in direction 2 known, whose ``which``
+    callable raises ``exc`` on its ``at``-th call (counted from 1); every
+    point the value oracle saw is recorded."""
+    problem = get_problem("rosenbrock2")
+    spec = mask_availability(problem, {2})
+    calls, counts = [], {"value": 0, "derivative": 0}
+
+    def counted(name, fn):
+        def oracle(*args):
+            counts[name] += 1
+            if name == "value":
+                calls.append(np.array(args[0]))
+            if name == which and counts[name] == at:
+                raise exc
+            return fn(*args)
+
+        return oracle
+
+    spec = dataclasses.replace(
+        spec, value=counted("value", spec.value), derivative=counted("derivative", spec.derivative)
+    )
+    return problem, spec, calls
+
+
+class TestOracleErrors:
+    @pytest.mark.parametrize("kind", [ModelKind.HERMITE_LS, ModelKind.BOBYQA])
+    @pytest.mark.parametrize("which", ["value", "derivative"])
+    @pytest.mark.parametrize("at", [3, 20])  # 3 lies inside the initial set
+    def test_run_stops_with_the_best_point_and_the_exception(self, kind, which, at):
+        exc = RuntimeError("simulator crashed")
+        problem, spec, calls = oracle_spec(which, at, exc)
+        config = SolverConfig(kind=kind, max_evaluations=100)
+        result = run(spec, problem.x_start, config)
+        assert result.reason is TerminationReason.ORACLE_ERROR
+        assert result.error is exc
+        # the failed call is billed and logged, and nothing is evaluated after it
+        assert result.evaluations == len(calls) == len(result.evaluation_log) == at
+        f_best, i_best = min((problem.value(x), i) for i, x in enumerate(calls[:-1]))
+        assert result.f_best == f_best
+        assert np.array_equal(result.x_best, calls[i_best])
+        assert result.evaluation_log[-1][1] == f_best
+        purposes = [purpose for purpose, _ in result.evaluation_log]
+        init = min(at, resolved_point_count(spec, config))
+        assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
+        assert all(row.evaluations < at for row in result.trace)
+
+    def test_first_call_raising_leaves_no_best_point(self):
+        problem, spec, calls = oracle_spec("value", 1, ValueError("bad input"))
+        result = run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS))
+        assert result.reason is TerminationReason.ORACLE_ERROR
+        assert isinstance(result.error, ValueError)
+        assert result.evaluations == 1 and result.iterations == 0
+        assert result.x_best is None and result.evaluation_log == [("init", float("inf"))]
+
+    def test_solver_exceptions_pass_through_unbilled(self):
+        problem, spec, calls = oracle_spec("value", 0, None)
+        evaluator = Evaluator(spec, EvaluationBudget(1))
+        with pytest.raises(OutOfBounds):
+            evaluator(problem.bounds.upper + 1.0, "trial")
+        evaluator(problem.x_start, "init")
+        with pytest.raises(BudgetExhausted):
+            evaluator(problem.x_start, "trial")
+        assert len(calls) == evaluator.used == len(evaluator.log) == 1
+
+
+class TestLambdaCertificate:
+    """The driver skips ``estimate_lambda`` when the largest Lagrange
+    column bound is within the threshold; the skipped estimate could not
+    have exceeded it."""
+
+    @staticmethod
+    def cases(name):
+        if name == "lowdim":
+            plan = ExperimentPlan(
+                problems=("trid4", "qing5"),
+                kinds=(ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA),
+                noise="low",
+                budget=300,
+            )
+            return plan, expand_plan(plan)
+        problem, kind, kd = name
+        plan = ExperimentPlan(problems=(problem,), kinds=(kind,), kd_values=(kd,), budget=500)
+        return plan, expand_plan(plan)[:1]
+
+    @pytest.mark.parametrize(
+        "name",
+        [("rosenbrock10", ModelKind.HERMITE_LS, 3), ("zakharov10", ModelKind.HERMITE_BOBYQA, 5), "lowdim"],
+    )
+    def test_skipped_estimates_stay_within_the_threshold(self, name, monkeypatch):
+        threshold = SolverConfig().lambda_threshold
+        tops, skipped, ran = [], [], []
+
+        def bounds(family, region):
+            result = column_bounds(family, region)
+            tops.append(float(np.max(result)))
+            if tops[-1] <= threshold:
+                lam = estimate_lambda(family, region).lam
+                assert lam <= tops[-1]
+                skipped.append(lam)
+            return result
+
+        def estimate(family, region):
+            result = estimate_lambda(family, region)
+            assert result.lam <= tops[-1]
+            ran.append(result.lam)
+            return result
+
+        monkeypatch.setattr(driver, "column_bounds", bounds)
+        monkeypatch.setattr(driver, "estimate_lambda", estimate)
+        plan, cases = self.cases(name)
+        entries = registry()
+        for case in cases:
+            _run_case(case, plan, entries[case.problem])
+        assert len(tops) == len(skipped) + len(ran) and skipped
+
+    def test_nan_family_is_never_certified(self, monkeypatch):
+        problem, spec = spec_for("rosenbrock2", mask=(2,))
+        config = SolverConfig(kind=ModelKind.HERMITE_LS)
+        evaluator = Evaluator(spec, EvaluationBudget(50))
+        state = initialize(spec, problem.x_start, config, evaluator)
+
+        def poisoned(sys):
+            family = lagrange_family(sys)
+            coeffs = family.coeffs.copy()
+            coeffs[0, 1] = np.nan
+            return dataclasses.replace(family, coeffs=coeffs)
+
+        estimates = []
+        monkeypatch.setattr(driver, "lagrange_family", poisoned)
+        monkeypatch.setattr(
+            driver, "estimate_lambda", lambda family, region: estimates.append(1) or PoisednessEstimate(0.0)
+        )
+        lam, lam_bound = driver._improve_geometry_if_poor(state, spec, config, evaluator, state.radius)
+        assert estimates == [1] and lam == 0.0 and np.isnan(lam_bound)
+
+
 class TestReachableStates:
     def test_training_set_invariants_along_a_run(self):
         # every training set the loop reaches keeps its points feasible,
@@ -477,8 +616,9 @@ class TestOneBlasThread:
     def test_count_restored_after_oracle_raises(self, two_blas_threads):
         seen = []
         problem, spec = _counting_spec(two_blas_threads, seen, fail_after=7)
-        with pytest.raises(RuntimeError, match="oracle failed"):
-            run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=40))
+        result = run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=40))
+        assert result.reason is TerminationReason.ORACLE_ERROR
+        assert isinstance(result.error, RuntimeError) and str(result.error) == "oracle failed"
         assert set(seen) == {1}
         assert two_blas_threads() == 2
 

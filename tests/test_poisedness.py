@@ -14,15 +14,21 @@ from hermiteopt.models import (
     assemble_min_frob,
     solve_raw,
 )
+from hermiteopt.driver import default_point_count
+from hermiteopt.models import ModelKind
 from hermiteopt.poisedness import (
     BALL_BLOCK,
+    GEMM_BLOCK,
     SUM_IN_ORDER,
     LagrangeFamily,
+    PoisednessEstimate,
     Region,
     _ball_test_always_passes,
+    _contenders,
     _first_argmax_abs,
     _polish_abs,
     _unit_ball_draws,
+    column_bounds,
     derivative_phi_matrix,
     estimate_lambda,
     lagrange_family,
@@ -809,3 +815,174 @@ class TestTheorem1:
         M = phi_matrix(pts, np.zeros(2), basis)
         with pytest.raises(ValueError):
             theorem1_check(M, M[::-1], self.grid(2, np.zeros(2), 1.0, basis))
+
+
+def reference_estimate_lambda(family, region, per_axis=None, polish_steps=5):
+    """``estimate_lambda`` as it was before its screen was pruned: every
+    column over every row."""
+    pts = region.sample(per_axis)
+    screened = np.zeros(family.coeffs.shape[1])
+    for start in range(0, len(pts), GEMM_BLOCK):
+        block = family.values(pts[start : start + GEMM_BLOCK])
+        np.abs(block, out=block)
+        np.maximum(screened, np.max(block, axis=0), out=screened)
+    lam = 0.0
+    best_poly = None
+    best_pt = None
+    for j in _contenders(screened):
+        poly = family.polynomial(j)
+        vals = np.abs(poly.value_at(pts))
+        k = int(np.argmax(vals))
+        if vals[k] > lam:
+            lam = float(vals[k])
+            best_poly, best_pt = poly, pts[k]
+    if polish_steps and best_poly is not None:
+        _, val = _polish_abs(best_poly, best_pt, region, polish_steps)
+        lam = max(lam, val)
+    return PoisednessEstimate(lam=lam)
+
+
+KINDS = (ModelKind.FULL_INTERP, ModelKind.BOBYQA, ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA)
+
+
+def kind_family(kind, n, rng, spread):
+    """Scaled Lagrange family of a random training set of the driver's
+    size for ``kind``, the first half of the directions known; points lie
+    within ``spread`` of the origin."""
+    directions = tuple(range(1, n // 2 + 1)) if kind in (ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA) else ()
+    count = default_point_count(kind, n, directions)
+    _, _, H, fn, grad = random_quadratic(n, rng)
+    ts = build_training_set(rng.uniform(-spread, spread, size=(count, n)), fn, grad, directions)
+    if kind is ModelKind.FULL_INTERP:
+        sys = assemble_full_interp(ts)
+    elif kind is ModelKind.BOBYQA:
+        sys = assemble_min_frob(ts, np.zeros((n, n)))
+    elif kind is ModelKind.HERMITE_LS:
+        sys = assemble_hermite_ls(ts, availability(directions))
+    else:
+        sys = assemble_hermite_bobyqa(ts, availability(directions), np.zeros((n, n)))
+    return lagrange_family(apply_scaling(sys, spread))
+
+
+def offset_region(family, rng, radius, offset, cut):
+    """A region ``offset`` radii from the family's center whose box cuts
+    the ball on ``cut`` random faces."""
+    n = family.center.size
+    direction = rng.normal(size=n)
+    center = family.center + direction * (offset * radius / np.linalg.norm(direction))
+    lo, hi = center - 2 * radius, center + 2 * radius
+    faces = rng.choice(2 * n, size=min(cut, 2 * n), replace=False)
+    for face in faces:
+        side = lo if face < n else hi
+        side[face % n] = center[face % n] + (1 if face >= n else -1) * rng.uniform(0.1, 0.9) * radius
+    return Region(center, radius, Bounds(lo, hi))
+
+
+class TestColumnBounds:
+    """``column_bounds`` holds at every point the estimate can visit, so
+    the driver's certificate and the pruned screen change no result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.integers(2, 12),
+        log_radius=st.floats(-8.0, 2.0),
+        spread=st.floats(0.3, 3.0),
+        offset=st.floats(0.0, 3.0),
+        cut=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_holds_over_sample_and_estimate(self, kind, n, log_radius, spread, offset, cut, seed):
+        rng = np.random.default_rng(seed)
+        radius = 10.0**log_radius
+        family = kind_family(kind, n, rng, spread * radius)
+        region = offset_region(family, rng, radius, offset, cut)
+        bounds = column_bounds(family, region)
+        assert np.all(np.abs(family.values(region.sample())) <= bounds)
+        assert estimate_lambda(family, region).lam <= np.max(bounds)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_bound_is_tight_at_aligned_extremes(self, n):
+        # every column is c + a (v.d) + b (v.d)**2 / 2 with c, a, b >= 0 and
+        # one unit v off the axes; at d = (offset + radius) v its value
+        # equals the bound without margins, so only the margins keep the
+        # rounded value below the rounded bound
+        rng = np.random.default_rng(100 + n)
+        basis = MonomialBasis(n)
+        for _ in range(20):
+            v = rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            cols = 300
+            c, a, b = (rng.uniform(0, 1, cols) * rng.choice([0.0, 1.0], cols) for _ in range(3))
+            a *= 10.0 ** rng.uniform(-2, 2, cols)
+            b *= 10.0 ** rng.uniform(-2, 2, cols)
+            H = np.outer(v, v)
+            coeffs = np.vstack([np.outer(v, a), np.outer(basis.pack_hessian(H), b)])
+            family = LagrangeFamily(
+                center=rng.normal(size=n), coeffs=coeffs, constants=c, incumbent_index=0
+            )
+            radius, offset = float(10.0 ** rng.uniform(-3, 1)), float(rng.uniform(0, 2))
+            region = Region(family.center + offset * radius * v, radius, Bounds.unbounded(n))
+            extreme = region.center + radius * v
+            bounds = column_bounds(family, region)
+            values = family.values(extreme)[0]
+            assert np.all(values <= bounds)
+            assert np.all(values >= bounds * (1 - 3e-6))
+            for j in range(0, cols, 37):
+                poly = family.polynomial(j)
+                assert abs(poly.value(extreme)) <= bounds[j]
+                assert abs(poly.value_at(extreme[None])[0]) <= bounds[j]
+
+    def test_nan_coefficient_gives_nan_bound(self):
+        _, family = full_interp_family(3, np.random.default_rng(5))
+        coeffs = family.coeffs.copy()
+        coeffs[4, 2] = np.nan
+        poisoned = LagrangeFamily(family.center, coeffs, family.constants, family.incumbent_index)
+        bounds = column_bounds(poisoned, Region(family.center, 0.5, Bounds.unbounded(3)))
+        assert np.isnan(bounds[2]) and np.isnan(np.max(bounds))
+        assert np.all(np.isfinite(np.delete(bounds, 2)))
+
+
+class TestPrunedScreen:
+    """The pruned screen returns the estimate of the full screen, bit for bit."""
+
+    @pytest.mark.parametrize("points, directions, delta, radius", TestExactTies.CASES)
+    @pytest.mark.parametrize("per_axis", [41, 61])
+    def test_symmetric_sets(self, points, directions, delta, radius, per_axis):
+        family = symmetric_family(points, directions, delta)
+        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
+        assert len(region.sample(per_axis)) > GEMM_BLOCK
+        for steps in (0, 5):
+            expected = reference_estimate_lambda(family, region, per_axis, steps).lam
+            assert estimate_lambda(family, region, per_axis, steps).lam == expected
+
+    def test_kinds_on_grid_and_ball_samples(self):
+        rng = np.random.default_rng(120)
+        pruned = 0
+        for n in (4, 5, 9, 10):
+            for kind in KINDS:
+                for _ in range(2):
+                    radius = float(10.0 ** rng.uniform(-4, 1))
+                    family = kind_family(kind, n, rng, rng.uniform(0.3, 2.0) * radius)
+                    region = offset_region(family, rng, radius, rng.uniform(0, 1.5), int(rng.integers(0, 3)))
+                    pts = region.sample()
+                    if len(pts) > GEMM_BLOCK:
+                        first = np.max(np.abs(family.values(pts[:GEMM_BLOCK])))
+                        pruned += np.sum(column_bounds(family, region) < first * (1 - 1e-6))
+                    expected = reference_estimate_lambda(family, region).lam
+                    assert estimate_lambda(family, region).lam == expected
+        assert pruned > 500  # the cases do exercise the pruning
+
+    @pytest.mark.parametrize("where", ["coeffs", "constants"])
+    def test_nan_column(self, where):
+        family = kind_family(ModelKind.HERMITE_LS, 4, np.random.default_rng(130), 0.5)
+        coeffs, constants = family.coeffs.copy(), family.constants.copy()
+        if where == "coeffs":
+            coeffs[3, 1] = np.nan
+        else:
+            constants[1] = np.nan
+        poisoned = LagrangeFamily(family.center, coeffs, constants, family.incumbent_index, family.row_tags)
+        region = Region(family.center, 0.5, Bounds.unbounded(4))
+        assert len(region.sample()) > GEMM_BLOCK
+        expected = reference_estimate_lambda(poisoned, region).lam
+        assert estimate_lambda(poisoned, region).lam == expected
