@@ -65,6 +65,8 @@ TRACE_COLUMNS = (
     "step_norm",
     "predicted_decrease",
     "repairs",
+    "sigma_ratio",
+    "replaced",
     "lam",
     "lam_bound",
 )

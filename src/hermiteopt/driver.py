@@ -84,6 +84,10 @@ STALE_FACTOR = 8.0
 STEP_TINY = 1e-14
 # singular values below NULL_RTOL * s[0] span a system's null space
 NULL_RTOL = 1e-10
+# the model-error diagnostic integrates over a midpoint grid of
+# DIAGNOSTIC_PER_AXIS**n points, at most DIAGNOSTIC_MAX_POINTS
+DIAGNOSTIC_PER_AXIS = 11
+DIAGNOSTIC_MAX_POINTS = 2_000_000
 
 
 @dataclass
@@ -110,10 +114,12 @@ class TraceRow:
     """One iteration that reached its trial evaluation.
 
     ``ratio`` is actual over predicted decrease, ``repairs`` the rank
-    repairs billed before the model solved, ``lam`` the poisedness
-    estimate when one ran and ``lam_bound`` the largest Lagrange column
-    bound when the poisedness test ran; fields an iteration did not
-    compute are NaN.
+    repairs billed before the model solved, ``sigma_ratio`` the smallest
+    over the largest singular value of the system the model was solved
+    from, ``replaced`` the training index the trial replaced (None when
+    rejected or a duplicate), ``lam`` the poisedness estimate when one ran
+    and ``lam_bound`` the largest Lagrange column bound when the
+    poisedness test ran; float fields an iteration did not compute are NaN.
     """
 
     iteration: int
@@ -126,6 +132,8 @@ class TraceRow:
     step_norm: float = float("nan")
     predicted_decrease: float = float("nan")
     repairs: int = 0
+    sigma_ratio: float = float("nan")
+    replaced: int | None = None
     lam: float = float("nan")
     lam_bound: float = float("nan")
 
@@ -511,20 +519,28 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
     return ts.replace(target, evaluator(pick, "repair")), target
 
 
+def check_diagnostic_grid(n: int, per_axis: int = DIAGNOSTIC_PER_AXIS) -> None:
+    """Raise ValueError when the diagnostic's grid in dimension n is too large."""
+    if per_axis**n > DIAGNOSTIC_MAX_POINTS:
+        raise ValueError(
+            f"diagnostic grid too large for this dimension: {per_axis}**{n} points "
+            f"exceed {DIAGNOSTIC_MAX_POINTS}"
+        )
+
+
 def model_error_diagnostic(
     model: QuadraticModel,
     reference: TaylorReference,
     center: np.ndarray,
     halfwidth: float = 0.01,
-    per_axis: int = 11,
+    per_axis: int = DIAGNOSTIC_PER_AXIS,
 ) -> float:
     """Squared L2 distance between the model and the second-order Taylor
     expansion of the reference function, over the box center +- halfwidth,
     approximated with a midpoint tensor grid."""
     center = np.asarray(center, dtype=float)
     n = center.size
-    if per_axis**n > 2_000_000:
-        raise ValueError("diagnostic grid too large for this dimension")
+    check_diagnostic_grid(n, per_axis)
     h = 2.0 * halfwidth / per_axis
     axes = [center[i] - halfwidth + h * (np.arange(per_axis) + 0.5) for i in range(n)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -610,7 +626,7 @@ def step_iteration(
         except RankDeficient:
             if attempt == max_repairs:
                 break
-            state.ts, replaced = _repair_rank_deficiency(
+            state.ts, target = _repair_rank_deficiency(
                 state.ts,
                 spec,
                 evaluator,
@@ -618,15 +634,18 @@ def step_iteration(
                 sys_scaled,
                 skip=repaired,
             )
-            if replaced is None:
+            if target is None:
                 break
-            repaired.add(replaced)
+            repaired.add(target)
     if model is None:
         # geometry repair failed to restore rank; shrink and try again
         return _set_radius(state, GAMMA_DEC * delta, config)
 
     if config.kind in FROBENIUS_KINDS:
         state.h_prev = model.H
+    # the solve cached this factorization, so reading it costs nothing
+    s = solvable.svd[1]
+    sigma_ratio = float(s[-1] / s[0])
 
     diag_value = float("nan")
     x_opt, f_opt = incumbent(state.ts)
@@ -661,6 +680,7 @@ def step_iteration(
         radius = delta
     stop = _set_radius(state, radius, config)
 
+    replaced = None
     if accepted:
         try:
             outgoing = select_outgoing(lagrange_family(sys_scaled), trial)
@@ -668,6 +688,7 @@ def step_iteration(
             outgoing = _farthest_index(state.ts)
         try:
             state.ts = state.ts.replace(outgoing, rec)
+            replaced = outgoing
         except DuplicatePoint:
             pass
         # a crawl of tiny accepted steps never rejects, so it would never
@@ -694,6 +715,8 @@ def step_iteration(
             step_norm=step_norm,
             predicted_decrease=decrease,
             repairs=len(repaired),
+            sigma_ratio=sigma_ratio,
+            replaced=replaced,
             lam=lam,
             lam_bound=lam_bound,
         )
@@ -709,11 +732,16 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     is restored afterwards.
     """
     config = config or SolverConfig()
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (spec.dimension,):
+        raise ValueError(f"start point has shape {x0.shape}, expected ({spec.dimension},)")
     p1 = resolved_point_count(spec, config)
     if config.max_evaluations < p1:
         raise ValueError(
             f"budget {config.max_evaluations} cannot cover the {p1} initialization points"
         )
+    if config.model_error_diagnostic and spec.taylor_reference is not None:
+        check_diagnostic_grid(spec.dimension)
     budget = EvaluationBudget(config.max_evaluations)
     evaluator = Evaluator(spec, budget)
     trace: list[TraceRow] = []

@@ -33,10 +33,6 @@ class MissingDerivative(HermiteOptError):
     """A training record lacks a derivative entry the assembly needs."""
 
 
-class UnavailableDerivative(HermiteOptError):
-    """A derivative oracle was queried outside its declared availability."""
-
-
 class KindMismatch(HermiteOptError):
     """An operation was applied to a system kind it does not support."""
 

@@ -13,13 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import (
-    BudgetExhausted,
-    DuplicatePoint,
-    EmptySet,
-    OutOfBounds,
-    UnavailableDerivative,
-)
+from .exceptions import BudgetExhausted, DuplicatePoint, EmptySet, OutOfBounds
 
 Vector = np.ndarray
 
@@ -130,17 +124,18 @@ class TaylorReference:
 class ObjectiveSpec:
     """An objective together with its declared derivative availability.
 
-    ``derivative(x, i)`` and ``second_derivative(x, (i, j))`` may only be
-    queried for directions declared in ``availability``; any other query
-    raises :class:`UnavailableDerivative`.
+    ``derivative(x)`` returns the known first partials at ``x``, one entry
+    per direction of ``availability.directions`` (ascending), and
+    ``second_derivative(x)`` one entry per pair of ``availability.pairs``
+    (lexicographic).  :func:`evaluate` calls each at most once per point.
     """
 
     dimension: int
     value: Callable[[Vector], float]
     bounds: Bounds
     availability: DerivativeAvailability = field(default_factory=DerivativeAvailability)
-    derivative: Callable[[Vector, int], float] | None = None
-    second_derivative: Callable[[Vector, tuple[int, int]], float] | None = None
+    derivative: Callable[[Vector], Vector] | None = None
+    second_derivative: Callable[[Vector], Vector] | None = None
     taylor_reference: TaylorReference | None = None
     name: str = ""
 
@@ -152,17 +147,6 @@ class ObjectiveSpec:
             raise ValueError("first-order availability declared without an oracle")
         if self.availability.second_order and self.second_derivative is None:
             raise ValueError("second-order availability declared without an oracle")
-
-    def partial(self, x: Vector, i: int) -> float:
-        if i not in self.availability.first_order:
-            raise UnavailableDerivative(f"direction {i} is not declared available")
-        return float(self.derivative(x, i))
-
-    def second(self, x: Vector, pair: tuple[int, int]) -> float:
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in self.availability.second_order:
-            raise UnavailableDerivative(f"pair {pair} is not declared available")
-        return float(self.second_derivative(x, pair))
 
 
 @dataclass(frozen=True)
@@ -195,19 +179,31 @@ class EvaluationBudget:
         self.evaluations_used += 1
 
 
+def _entries(oracle, x: Vector, labels: tuple) -> dict:
+    """One oracle call keyed by ``labels`` (no call without labels); any
+    shape but one entry per label raises ValueError."""
+    if not labels:
+        return {}
+    entries = np.asarray(oracle(x), dtype=float)
+    if entries.shape != (len(labels),):
+        raise ValueError(f"oracle returned shape {entries.shape}, expected ({len(labels)},)")
+    return dict(zip(labels, entries.tolist()))
+
+
 def evaluate(spec: ObjectiveSpec, x: Vector, budget: EvaluationBudget) -> EvaluationRecord:
     """Evaluate the objective at ``x`` and collect every available derivative.
 
-    Bills exactly one objective call; derivative queries are free, matching
-    the premise that known derivatives come at negligible cost.
+    Calls ``value``, then ``derivative`` and ``second_derivative`` once
+    each when they have entries.  Bills one objective call; derivatives
+    are free, matching the premise that known derivatives come cheap.
     """
     x = np.asarray(x, dtype=float)
     if not spec.bounds.contains(x):
         raise OutOfBounds(f"point {x} violates bounds")
     budget.charge()
     value = float(spec.value(x))
-    gradient = {i: spec.partial(x, i) for i in spec.availability.directions}
-    second = {pair: spec.second(x, pair) for pair in spec.availability.pairs}
+    gradient = _entries(spec.derivative, x, spec.availability.directions)
+    second = _entries(spec.second_derivative, x, spec.availability.pairs)
     return EvaluationRecord(point=x, value=value, gradient=gradient, second=second)
 
 

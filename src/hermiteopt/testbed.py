@@ -3,8 +3,8 @@
 Every problem carries value, gradient and Hessian oracles plus a box, a
 reference optimum and a default start.  ``mask_availability`` turns a
 problem into an objective spec that exposes only a chosen subset of the
-derivatives; ``add_noise`` wraps a spec with multiplicative uniform
-noise on values and derivative components alike.
+derivatives, one array per order and call; ``add_noise`` wraps a spec
+with multiplicative uniform noise on values and derivative components.
 """
 
 from __future__ import annotations
@@ -299,14 +299,17 @@ def mask_availability(
     first_order,
     second_order=(),
 ) -> ObjectiveSpec:
-    """Objective spec exposing only the masked derivative directions."""
+    """Objective spec exposing only the masked directions and pairs, read
+    from one gradient or Hessian per oracle call."""
     avail = DerivativeAvailability(frozenset(first_order), frozenset(second_order))
+    axes = [i - 1 for i in avail.directions]
+    rows, cols = [[p[k] - 1 for p in avail.pairs] for k in (0, 1)]
 
-    def derivative(x, i):
-        return float(problem.gradient(x)[i - 1])
+    def derivative(x):
+        return problem.gradient(x)[axes]
 
-    def second(x, pair):
-        return float(problem.hessian(x)[pair[0] - 1, pair[1] - 1])
+    def second(x):
+        return problem.hessian(x)[rows, cols]
 
     return ObjectiveSpec(
         dimension=problem.dimension,
@@ -326,8 +329,9 @@ def add_noise(spec: ObjectiveSpec, amplitude: float, seed: int) -> ObjectiveSpec
     """Multiplicative uniform noise: every value and every derivative
     component is scaled by an independent fresh (1 + xi), xi ~ U(-a, a).
 
-    The Taylor reference stays noise-free so diagnostics compare against
-    the true function.
+    A derivative call draws its xi as one array, the same stream as one
+    scalar draw per component.  The Taylor reference stays noise-free so
+    diagnostics compare against the true function.
     """
     if amplitude < 0:
         raise ValueError("noise amplitude must be nonnegative")
@@ -336,19 +340,20 @@ def add_noise(spec: ObjectiveSpec, amplitude: float, seed: int) -> ObjectiveSpec
     def value(x):
         return spec.value(x) * (1.0 + rng.uniform(-amplitude, amplitude))
 
-    def derivative(x, i):
-        return spec.derivative(x, i) * (1.0 + rng.uniform(-amplitude, amplitude))
+    def perturbed(oracle):
+        def noisy(x):
+            entries = np.asarray(oracle(x), dtype=float)
+            return entries * (1.0 + rng.uniform(-amplitude, amplitude, size=entries.shape))
 
-    def second(x, pair):
-        return spec.second_derivative(x, pair) * (1.0 + rng.uniform(-amplitude, amplitude))
+        return noisy
 
     return ObjectiveSpec(
         dimension=spec.dimension,
         value=value,
         bounds=spec.bounds,
         availability=spec.availability,
-        derivative=derivative if spec.derivative else None,
-        second_derivative=second if spec.second_derivative else None,
+        derivative=perturbed(spec.derivative) if spec.derivative else None,
+        second_derivative=perturbed(spec.second_derivative) if spec.second_derivative else None,
         taylor_reference=spec.taylor_reference,
         name=spec.name + f"+noise{amplitude:g}",
     )

@@ -11,9 +11,9 @@ The yield derivative with respect to the uncertain means has a closed
 form over the Monte-Carlo sample: the means are known directions, the
 deterministic knobs are not, which is exactly the mixed-information
 setting the optimizer targets.  Only fixed-shifted sampling gives the
-value and the derivatives one shared sample (one estimate per point);
+value and both derivatives one shared sample (one estimate per point);
 resampled modes draw afresh for the value and for each derivative
-(ROADMAP direction 4).
+component (ROADMAP direction 5).
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def yield_gradient_means(yp: YieldProblem, x: np.ndarray) -> np.ndarray:
     In fixed-shifted mode the sample is the one that produces the value at
     ``x``.  In resampled mode this call draws its own sample, so the
     gradient does not come from the sample of any separate value estimate
-    (ROADMAP direction 4).
+    (ROADMAP direction 5).
     """
     x = np.asarray(x, dtype=float)
     return _mean_gradient(*yp.estimate_with_stats(x), x, yp.sigma)
@@ -182,17 +182,18 @@ def yield_objective(mode: str = "nonoise", seed: int = 0) -> ObjectiveSpec:
         def value(x):
             return -stats(x)[1]
 
-        def derivative(x, i):
+        def derivative(x):
             x, val, safe_mean = stats(x)
-            return -float(_mean_gradient(val, safe_mean, x, yp.sigma)[i - 1])
+            return -_mean_gradient(val, safe_mean, x, yp.sigma)
 
     else:
-        # one fresh draw per oracle call, in the order the calls come
+        # a fresh draw for the value and for each derivative component; one
+        # shared draw (ROADMAP direction 5) needs a digest re-record
         def value(x):
             return -yp.estimate(x)
 
-        def derivative(x, i):
-            return -float(yield_gradient_means(yp, x)[i - 1])
+        def derivative(x):
+            return -np.array([yield_gradient_means(yp, x)[axis] for axis in (0, 1)])
 
     return ObjectiveSpec(
         dimension=4,

@@ -204,14 +204,23 @@ class TestTraceExport:
         assert len(rows) == len(result.trace)
         assert set(rows[0]) == {
             "iteration", "evaluations", "radius", "f_best", "accepted", "model_error",
-            "ratio", "step_norm", "predicted_decrease", "repairs", "lam", "lam_bound",
+            "ratio", "step_norm", "predicted_decrease", "repairs", "sigma_ratio", "replaced",
+            "lam", "lam_bound",
         }
         assert all(r["model_error"] == "" for r in rows)
         for r, row in zip(rows, result.trace):
             assert float(r["ratio"]) == row.ratio and float(r["step_norm"]) > 0
             assert float(r["predicted_decrease"]) > 0 and int(r["repairs"]) >= 0
+            assert float(r["sigma_ratio"]) == row.sigma_ratio and 0 < row.sigma_ratio <= 1
+            if row.replaced is None:
+                assert r["replaced"] == ""
+            else:
+                assert int(r["replaced"]) == row.replaced and r["accepted"] == "1"
             assert (r["lam"] == "") == np.isnan(row.lam)
             assert (r["lam_bound"] == "") == np.isnan(row.lam_bound)
+        # accepted trials replace a point; rejected ones leave an empty cell
+        assert any(r["replaced"] != "" for r in rows) and any(r["accepted"] == "0" for r in rows)
+        assert all(r["replaced"] == "" for r in rows if r["accepted"] == "0")
         # this run tests poisedness often and estimates lambda at least once
         assert any(r["lam_bound"] != "" for r in rows) and any(r["lam"] != "" for r in rows)
 
@@ -275,6 +284,13 @@ class TestCli:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["model_error"] != ""
+
+    def test_trace_diagnostic_too_large_fails_up_front(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--problems", "zakharov10", "--kinds", "hermite-ls", "--kd", "5"]
+        assert main(argv + ["--diagnostic", "--out", str(out)]) == 1
+        assert "diagnostic grid too large" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_problem_exit_code(self, tmp_path, capsys):
         code = main(

@@ -29,13 +29,14 @@ from hermiteopt.driver import (
 )
 from hermiteopt.exceptions import BudgetExhausted, DegenerateModelDecrease, OutOfBounds
 from hermiteopt.models import (
+    RANK_TOLERANCE,
     QuadraticModel,
     apply_scaling,
     assemble_full_interp,
     assemble_hermite_ls,
 )
 from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_lambda, lagrange_family
-from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference
+from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference, TrainingSet
 from hermiteopt.testbed import get_problem, mask_availability
 
 
@@ -155,6 +156,37 @@ class TestRunBehavior:
         best = [t.f_best for t in result.trace]
         assert all(b2 <= b1 + 1e-15 for b1, b2 in zip(best, best[1:]))
 
+    @pytest.mark.parametrize("shape", [(1,), (1, 2), (3,)])
+    def test_start_point_of_the_wrong_shape_rejected_before_any_call(self, shape):
+        problem, spec, calls = oracle_spec("value", 0, None)
+        x0 = np.resize(problem.x_start, shape)
+        with pytest.raises(ValueError, match=r"shape \(.*\), expected \(2,\)"):
+            run(spec, x0, SolverConfig(kind=ModelKind.HERMITE_LS))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", [ModelKind.HERMITE_LS, ModelKind.BOBYQA])
+    def test_trace_names_the_replaced_index_and_the_sigma_ratio(self, kind, monkeypatch):
+        problem, spec, calls = oracle_spec("value", 0, None)
+        replacements = []
+        replace = TrainingSet.replace
+
+        def logged(ts, index, incoming):
+            replacements.append((index, incoming.point.tobytes()))
+            return replace(ts, index, incoming)
+
+        monkeypatch.setattr(TrainingSet, "replace", logged)
+        result = run(spec, problem.x_start, SolverConfig(kind=kind, max_evaluations=120))
+        trials = [x for x, (purpose, _) in zip(calls, result.evaluation_log) if purpose == "trial"]
+        assert len(trials) == len(result.trace)
+        for row, trial in zip(result.trace, trials):
+            assert RANK_TOLERANCE < row.sigma_ratio <= 1.0
+            if row.replaced is None:
+                continue
+            assert row.accepted
+            assert (row.replaced, trial.tobytes()) in replacements
+        assert any(row.replaced is not None for row in result.trace)
+        assert all(row.replaced is None for row in result.trace if not row.accepted)
+
     def test_trace_evaluations_strictly_increasing(self):
         problem, spec = spec_for("rosenbrock2", mask=(2,))
         result = run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=120))
@@ -237,6 +269,28 @@ class TestDiagnostic:
         delta = 0.01
         err = model_error_diagnostic(model, ref, center, halfwidth=delta)
         assert err == pytest.approx(eps**2 * (2 * delta) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["sphere10", "rosenbrock10", "zakharov10"])
+    def test_too_large_grid_rejected_before_any_call(self, name):
+        problem = get_problem(name)
+        calls = []
+        spec = dataclasses.replace(
+            mask_availability(problem, {1}), value=lambda x: calls.append(x) or problem.value(x)
+        )
+        config = SolverConfig(kind=ModelKind.HERMITE_LS, model_error_diagnostic=True)
+        with pytest.raises(ValueError, match="diagnostic grid too large"):
+            run(spec, problem.x_start, config)
+        assert calls == []
+
+    def test_grid_rule_is_shared(self):
+        # the up-front check and the diagnostic itself refuse the same sizes
+        driver.check_diagnostic_grid(6)
+        with pytest.raises(ValueError, match="diagnostic grid too large"):
+            driver.check_diagnostic_grid(7)
+        model = QuadraticModel(center=np.zeros(7), c=0.0, g=np.zeros(7), H=np.zeros((7, 7)))
+        ref = TaylorReference(lambda x: 0.0, lambda x: np.zeros(7), lambda x: np.zeros((7, 7)))
+        with pytest.raises(ValueError, match="diagnostic grid too large"):
+            model_error_diagnostic(model, ref, np.zeros(7))
 
     def test_trace_carries_model_error(self):
         problem, spec = spec_for("rosenbrock2", mask=(2,))
@@ -397,6 +451,27 @@ class TestOracleErrors:
         assert isinstance(result.error, ValueError)
         assert result.evaluations == 1 and result.iterations == 0
         assert result.x_best is None and result.evaluation_log == [("init", float("inf"))]
+
+    @pytest.mark.parametrize("which", ["derivative", "second_derivative"])
+    @pytest.mark.parametrize("returned", ["longer", "shorter", "scalar"])
+    def test_wrong_length_oracle_return_ends_the_run_billed(self, which, returned):
+        problem = get_problem("rosenbrock2")
+        spec = mask_availability(problem, {1, 2}, {(1, 2), (2, 2)})
+        good, count = getattr(spec, which), [0]
+
+        def oracle(x):
+            count[0] += 1
+            entries = good(x)
+            if count[0] < 7:
+                return entries
+            return {"longer": np.append(entries, 1.0), "shorter": entries[:1], "scalar": 1.0}[returned]
+
+        spec = dataclasses.replace(spec, **{which: oracle})
+        config = SolverConfig(kind=ModelKind.HERMITE_LS, second_order=True, max_evaluations=100)
+        result = run(spec, problem.x_start, config)
+        assert result.reason is TerminationReason.ORACLE_ERROR
+        assert isinstance(result.error, ValueError) and "expected (2,)" in str(result.error)
+        assert result.evaluations == len(result.evaluation_log) == count[0] == 7
 
     def test_solver_exceptions_pass_through_unbilled(self):
         problem, spec, calls = oracle_spec("value", 0, None)

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteopt.exceptions import (
-    BudgetExhausted,
-    DuplicatePoint,
-    EmptySet,
-    OutOfBounds,
-    UnavailableDerivative,
-)
+from hermiteopt.exceptions import BudgetExhausted, DuplicatePoint, EmptySet, OutOfBounds
 from hermiteopt.problem import (
     Bounds,
     DerivativeAvailability,
@@ -98,11 +92,6 @@ class TestEvaluate:
         with pytest.raises(BudgetExhausted):
             evaluate(spec, np.array([1.0, 0.0]), budget)
 
-    def test_masked_derivative_errors(self):
-        spec = make_spec(mask=(2,))
-        with pytest.raises(UnavailableDerivative):
-            spec.partial(np.array([0.0, 0.0]), 1)
-
     def test_billing_counts_value_calls_exactly(self):
         # the counting wrapper sees one value call per evaluate()
         problem = rosenbrock(2)
@@ -117,13 +106,44 @@ class TestEvaluate:
             value=counted,
             bounds=problem.bounds,
             availability=DerivativeAvailability(first_order=frozenset({1, 2})),
-            derivative=lambda x, i: problem.gradient(x)[i - 1],
+            derivative=problem.gradient,
         )
         budget = EvaluationBudget(7)
         rng = np.random.default_rng(0)
         for _ in range(7):
             evaluate(spec, rng.uniform(-1, 1, size=2), budget)
         assert calls["n"] == 7 == budget.evaluations_used
+
+    @pytest.mark.parametrize("mask, pairs, expected", [
+        ((), (), ["value"]),
+        ((2,), (), ["value", "derivative"]),
+        ((1, 2), ((1, 2),), ["value", "derivative", "second"]),
+    ])
+    def test_one_call_per_order_in_order(self, mask, pairs, expected):
+        spec = mask_availability(rosenbrock(2), set(mask), pairs)
+        calls = []
+
+        def logged(name, fn):
+            def oracle(x):
+                calls.append(name)
+                return fn(x)
+
+            return oracle
+
+        spec.value = logged("value", spec.value)
+        spec.derivative = logged("derivative", spec.derivative)
+        spec.second_derivative = logged("second", spec.second_derivative)
+        evaluate(spec, np.array([0.5, 0.25]), EvaluationBudget(1))
+        assert calls == expected
+
+    @pytest.mark.parametrize("entries", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]], 4.0])
+    def test_wrong_shape_derivatives_rejected_after_billing(self, entries):
+        spec = make_spec(mask=(1, 2))
+        spec.derivative = lambda x: entries
+        budget = EvaluationBudget(1)
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            evaluate(spec, np.array([0.0, 0.0]), budget)
+        assert budget.evaluations_used == 1
 
 
 class TestTrainingSet:

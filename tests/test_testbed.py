@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermiteopt.exceptions import UnavailableDerivative, UnknownProblem
+from hermiteopt.exceptions import UnknownProblem
 from hermiteopt.problem import EvaluationBudget, evaluate
 from hermiteopt.testbed import (
     PROBLEMS,
@@ -97,9 +97,19 @@ class TestMasking:
         problem = get_problem("rosenbrock2")
         spec = mask_availability(problem, {2})
         x = np.array([0.5, 0.5])
-        assert spec.partial(x, 2) == pytest.approx(problem.gradient(x)[1])
-        with pytest.raises(UnavailableDerivative):
-            spec.partial(x, 1)
+        assert spec.derivative(x).tolist() == [problem.gradient(x)[1]]
+        rec = evaluate(spec, x, EvaluationBudget(1))
+        assert rec.gradient == {2: problem.gradient(x)[1]} and rec.second == {}
+
+    def test_entries_follow_directions_and_pairs_in_order(self):
+        problem = get_problem("rosenbrock5")
+        spec = mask_availability(problem, {4, 1}, {(3, 4), (1, 4), (1, 1)})
+        x = np.array([0.3, -0.2, 0.9, 1.1, 0.4])
+        g, H = problem.gradient(x), problem.hessian(x)
+        assert spec.derivative(x).tolist() == [g[0], g[3]]
+        assert spec.second_derivative(x).tolist() == [H[0, 0], H[0, 3], H[2, 3]]
+        rec = evaluate(spec, x, EvaluationBudget(1))
+        assert list(rec.gradient) == [1, 4] and list(rec.second) == [(1, 1), (1, 4), (3, 4)]
 
     def test_empty_mask_is_derivative_free(self):
         problem = get_problem("sphere2")
@@ -115,7 +125,7 @@ class TestMasking:
         spec = mask_availability(problem, {1, 2}, pairs)
         x = np.array([0.4, 0.2])
         H = problem.hessian(x)
-        assert spec.second(x, (1, 2)) == pytest.approx(H[0, 1])
+        assert spec.second_derivative(x)[1] == H[0, 1]
         rec = evaluate(spec, x, EvaluationBudget(1))
         assert set(rec.second) == set(pairs)
 
@@ -131,7 +141,7 @@ class TestNoise:
         x = np.array([0.7, -0.3])
         for _ in range(3):
             assert spec.value(x) == problem.value(x)
-            assert spec.partial(x, 1) == problem.gradient(x)[0]
+            assert spec.derivative(x).tolist() == [problem.gradient(x)[0]]
 
     def test_multiplicative_bound(self):
         problem = get_problem("sphere2")
@@ -165,8 +175,8 @@ class TestNoise:
         x = np.array([0.5, 0.25])
         a = add_noise(mask_availability(problem, {1, 2}), 1e-2, seed=7)
         b = add_noise(mask_availability(problem, {1, 2}), 1e-2, seed=7)
-        seq_a = [a.value(x), a.partial(x, 1), a.partial(x, 2)]
-        seq_b = [b.value(x), b.partial(x, 1), b.partial(x, 2)]
+        seq_a = [a.value(x), *a.derivative(x)]
+        seq_b = [b.value(x), *b.derivative(x)]
         assert seq_a == seq_b
 
     def test_derivative_noise_independent_of_value_noise(self):
@@ -174,9 +184,30 @@ class TestNoise:
         spec = add_noise(mask_availability(problem, {1}), 1e-2, seed=8)
         x = np.array([1.0, 0.5])
         ratios_v = [spec.value(x) / problem.value(x) for _ in range(50)]
-        ratios_g = [spec.partial(x, 1) / problem.gradient(x)[0] for _ in range(50)]
+        ratios_g = [spec.derivative(x)[0] / problem.gradient(x)[0] for _ in range(50)]
         assert np.std(ratios_v) > 0 and np.std(ratios_g) > 0
         assert not np.allclose(ratios_v, ratios_g)
+
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_one_draw_per_component_in_order(self, second_order):
+        # an oracle call draws its components at once; the stream is the
+        # one a scalar draw per component, value first, would give
+        problem, amplitude = get_problem("rosenbrock5"), 1e-2
+        pairs = second_order_closure({1, 3, 4}) if second_order else ()
+        spec = add_noise(mask_availability(problem, {1, 3, 4}, pairs), amplitude, seed=9)
+        rng = np.random.default_rng(9)
+        x = np.array([0.3, -0.2, 0.9, 1.1, 0.4])
+        g, H = problem.gradient(x), problem.hessian(x)
+        for _ in range(3):
+            rec = evaluate(spec, x, EvaluationBudget(1))
+            assert rec.value == problem.value(x) * (1.0 + rng.uniform(-amplitude, amplitude))
+            assert rec.gradient == {
+                i: g[i - 1] * (1.0 + rng.uniform(-amplitude, amplitude)) for i in (1, 3, 4)
+            }
+            assert rec.second == {
+                (i, j): H[i - 1, j - 1] * (1.0 + rng.uniform(-amplitude, amplitude))
+                for i, j in pairs
+            }
 
     def test_negative_amplitude_rejected(self):
         problem = get_problem("sphere2")

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hermiteopt.exceptions import UnavailableDerivative
 from hermiteopt.problem import EvaluationBudget, evaluate
 from hermiteopt.yields import (
     BOUNDS,
@@ -179,11 +178,6 @@ class TestObjectiveSpec:
         x = np.array([9.2, 5.1, 1.1, 0.9])
         assert len({spec.value(x) for _ in range(8)}) > 1
 
-    def test_unknown_directions_error(self):
-        spec = yield_objective("nonoise", seed=12)
-        with pytest.raises(UnavailableDerivative):
-            spec.partial(START_POINT, 3)
-
     def test_minimization_sign(self):
         spec = yield_objective("nonoise", seed=13)
         yp = YieldProblem(n_mc=2500, seed=13)
@@ -195,10 +189,10 @@ class TestObjectiveSpec:
         x2 = np.array([10.2, 4.7, 0.8, 1.2])
         spec = yield_objective("nonoise", seed=14)
         for x in (x1, x2, x1, x1):
-            got = (spec.value(x), spec.partial(x, 1), spec.partial(x, 2))
+            got = (spec.value(x), *spec.derivative(x))
             fresh = yield_objective("nonoise", seed=14)
             # derivatives first: a fresh spec has no value to reuse
-            d1, d2 = fresh.partial(x, 1), fresh.partial(x, 2)
+            d1, d2 = fresh.derivative(x)
             assert got == (fresh.value(x), d1, d2)
             g = yield_gradient_means(YieldProblem(n_mc=2500, seed=14), x)
             assert got[1:] == (-float(g[0]), -float(g[1]))
