@@ -178,8 +178,9 @@ class Evaluator:
     """Bills evaluations, tracks the best recorded value and logs each
     evaluation's purpose with the best value after it.
 
-    A non-finite value is billed and logged but never becomes the best;
-    it then raises NonFiniteValue, which ends the run.  So does an
+    A record with a non-finite value or derivative entry is billed and
+    logged but never becomes the best; it then raises NonFiniteValue,
+    which ends the run.  So does an
     exception from the objective's callables, raised again as
     OracleError; the solver's own BudgetExhausted and OutOfBounds, raised
     before the call is billed, pass through unchanged.
@@ -200,13 +201,14 @@ class Evaluator:
         except Exception as exc:
             self.log.append((purpose, self.best_value))
             raise OracleError(f"oracle raised at {x}") from exc
-        finite = math.isfinite(rec.value)
+        entries = (rec.value, *rec.gradient.values(), *rec.second.values())
+        finite = all(map(math.isfinite, entries))
         if finite and rec.value < self.best_value:
             self.best_value = rec.value
             self.best_point = rec.point
         self.log.append((purpose, self.best_value))
         if not finite:
-            raise NonFiniteValue(f"objective value {rec.value} at {rec.point}")
+            raise NonFiniteValue(f"non-finite value or derivative at {rec.point}: {entries}")
         return rec
 
     @property
@@ -449,7 +451,7 @@ def _null_space_scores(sys, null: np.ndarray, candidates: np.ndarray, delta: flo
     norm and matrix-vector product, summed in row order, so a score does
     not depend on the other candidates."""
     Z = candidates - sys.shift
-    axes = sorted({tag[2] - 1 for tag in sys.row_tags if tag[0] == "grad"})
+    axes = [d - 1 for b in sys.blocks if b.name == "grad" for d in b.labels]
     values = sys.basis.value_rows(Z) * sys.col_scale
     derivatives = sys.basis.derivative_rows(Z, axes) * sys.col_scale * delta
     derivatives = derivatives.reshape(len(Z), len(axes), values.shape[1])
@@ -464,19 +466,16 @@ def _null_space_scores(sys, null: np.ndarray, candidates: np.ndarray, delta: flo
     return scores
 
 
-def _redundancy_order(sys, point_count: int, incumbent_index: int):
-    """Training indices sorted from most to least redundant, judged by the
-    total leverage of each point's rows in the non-null row space."""
+def _point_leverage(sys, point_count: int) -> np.ndarray:
+    """Total leverage of each training point's rows in the non-null row
+    space, summed in row order; a point's redundancy grows with it."""
     U, s, _ = sys.svd
     keep = s > NULL_RTOL * s[0]
     leverage_rows = np.sum(U[:, keep] ** 2, axis=1)
-    totals = np.zeros(point_count)
-    for r, tag in enumerate(sys.row_tags):
-        if tag[0] == "mfn":
-            continue
-        totals[tag[1]] += leverage_rows[r]
-    order = np.argsort(totals, kind="stable")
-    return [int(i) for i in order if i != incumbent_index]
+    # mfn rows belong to no point: they fill a spare last bin
+    points = [np.full(b.rows, point_count) if b.points is None else b.points for b in sys.blocks]
+    totals = np.bincount(np.concatenate(points), weights=leverage_rows, minlength=point_count + 1)
+    return totals[:point_count]
 
 
 def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
@@ -496,10 +495,10 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
     _, _, Vt = np.linalg.svd(D, full_matrices=True)
     dist = np.linalg.norm(D, axis=1)
     if float(np.max(dist)) > STALE_FACTOR * delta:
-        order = [int(i) for i in np.argsort(-dist) if i != ts.incumbent_index]
+        order = np.argsort(-dist)
     else:
-        order = _redundancy_order(sys_scaled, ts.size, ts.incumbent_index)
-    target = next((i for i in order if i not in skip), None)
+        order = np.argsort(_point_leverage(sys_scaled, ts.size), kind="stable")
+    target = next((int(i) for i in order if i != ts.incumbent_index and i not in skip), None)
     if target is None:
         return ts, None
     directions = np.array(list(_repair_candidates(ts.dimension, Vt[-1])))

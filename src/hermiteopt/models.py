@@ -11,13 +11,22 @@ Four system kinds are supported:
 
 All systems work in coordinates shifted by the incumbent; the constant
 coefficient is pinned to the incumbent value and never enters a system.
+
+Rows come in blocks (``RowBlock``): ``value``, then ``mfn`` for the
+Frobenius kinds, then ``grad`` and ``hess`` for the Hermite kinds.
+Scaling for trust radius delta multiplies each block and column group by
+delta to a fixed exponent, as if the points were divided by delta: regression
+kinds take -1, -2 on linear and quadratic columns and 0, 1, 2 on value,
+grad and hess rows; Frobenius kinds take -2, 1 on point and gradient
+columns and -2, 1, -1 on value, mfn and grad rows.  Distance weights
+apply to every Hermite least-squares block and to Hermite BOBYQA's grad.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,22 +125,53 @@ class WeightScheme:
         return np.exp(self.scale - self.scale * d / dmax) / np.exp(self.scale)
 
 
-# Row tags record what each system row encodes:
-#   ("value", i)        interpolation condition at training index i
-#   ("grad", i, l)      first derivative condition at index i, direction l (1-based)
-#   ("hess", i, (a,b))  second derivative condition at index i, pair (a,b) (1-based)
-#   ("mfn", l)          min-Frobenius stationarity constraint row, axis l
+@dataclass(frozen=True)
+class RowBlock:
+    """Consecutive system rows scaled by ``delta**exponent`` and, when
+    ``weighted``, by their points' distance weights.
+
+    ``points`` holds each row's training index (None for ``mfn``).  A
+    derivative block is point-major: each point owns one row per entry
+    of ``labels``, its 1-based directions (``grad``) or pairs (``hess``);
+    ``mfn`` rows are labelled by their 1-based axes.
+    """
+
+    name: str
+    points: np.ndarray | None
+    exponent: int
+    weighted: bool
+    labels: tuple = ()
+
+    @property
+    def rows(self) -> int:
+        return len(self.labels) if self.points is None else len(self.points)
+
+
+@lru_cache(maxsize=256)
+def _repeat(values: tuple, counts: tuple) -> np.ndarray:
+    """``np.repeat(values, counts)``, built once per pattern and shared by
+    every system, so read-only."""
+    out = np.repeat(values, counts)
+    out.flags.writeable = False
+    return out
+
+
+def _derivative_block(name: str, size: int, labels, exponent: int) -> RowBlock:
+    """Weighted point-major block over all ``size`` training points."""
+    points = _repeat(tuple(range(size)), (len(labels),) * size)
+    return RowBlock(name, points, exponent, True, tuple(labels))
 
 
 @dataclass
 class AssembledSystem:
     """A model-building linear system plus everything needed to undo it.
 
-    ``row_tags`` give the provenance of every row; ``value_order`` lists the
-    training indices behind the value rows (the incumbent never owns one).
-    For the Frobenius kinds ``shifted_points`` and ``h_prev`` feed the
-    Hessian recovery; for the others the coefficient vector maps directly
-    onto gradient and packed Hessian entries.
+    ``blocks`` partition the rows in order; the value block comes first
+    and lists every training index but the incumbent's.  Column ``k``
+    scales by ``delta**col_exponents[k]``.  For the Frobenius kinds
+    ``shifted_points`` and ``h_prev`` feed the Hessian recovery; for the
+    others the coefficient vector maps directly onto gradient and packed
+    Hessian entries.
     """
 
     kind: ModelKind
@@ -139,10 +179,8 @@ class AssembledSystem:
     rhs: np.ndarray
     shift: np.ndarray
     f_opt: float
-    row_tags: tuple
-    value_order: tuple[int, ...]
-    point_count: int
-    dimension: int
+    blocks: tuple[RowBlock, ...]
+    col_exponents: np.ndarray
     basis: MonomialBasis
     shifted_points: np.ndarray | None = None
     h_prev: np.ndarray | None = None
@@ -152,6 +190,10 @@ class AssembledSystem:
     @property
     def scaled(self) -> bool:
         return self.col_scale is not None
+
+    @property
+    def value_block(self) -> RowBlock:
+        return self.blocks[0]
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,9 +212,25 @@ class AssembledSystem:
 
 def _shifted_non_incumbent(ts: TrainingSet):
     shift = ts.incumbent_record.point
-    order = tuple(i for i in range(ts.size) if i != ts.incumbent_index)
-    D = ts.points[list(order)] - shift
-    return shift, order, D
+    order = [i for i in range(ts.size) if i != ts.incumbent_index]
+    D = ts.points[order] - shift
+    f_opt = ts.incumbent_record.value
+    value_rhs = np.array([ts.records[i].value - f_opt for i in order])
+    return shift, np.array(order), D, f_opt, value_rhs
+
+
+def _derivative_entries(ts: TrainingSet, labels, second: bool = False) -> np.ndarray:
+    """Known derivative entries of every record, one row per point and
+    one column per label; raises MissingDerivative for a missing one."""
+    rows = []
+    for i, rec in enumerate(ts.records):
+        known = rec.second if second else rec.gradient
+        try:
+            rows.append([known[label] for label in labels])
+        except KeyError as exc:
+            what = "second derivative for pair" if second else "derivative for direction"
+            raise MissingDerivative(f"record {i} lacks the {what} {exc.args[0]}") from None
+    return np.array(rows, dtype=float).reshape(ts.size, len(labels))
 
 
 def _check_symmetric(H: np.ndarray, n: int) -> np.ndarray:
@@ -186,48 +244,50 @@ def _check_symmetric(H: np.ndarray, n: int) -> np.ndarray:
 
 def assemble_full_interp(ts: TrainingSet) -> AssembledSystem:
     """Square interpolation system on a set of (n+1)(n+2)/2 points."""
-    n = ts.dimension
-    basis = MonomialBasis(n)
+    basis = MonomialBasis(ts.dimension)
     if ts.size != basis.q1:
         raise WrongSetSize(
             f"full interpolation needs {basis.q1} points, got {ts.size}"
         )
-    shift, order, D = _shifted_non_incumbent(ts)
-    f_opt = ts.incumbent_record.value
-    matrix = basis.value_rows(D)
-    rhs = np.array([ts.records[i].value - f_opt for i in order])
-    tags = tuple(("value", i) for i in order)
+    shift, order, D, f_opt, rhs = _shifted_non_incumbent(ts)
     return AssembledSystem(
         kind=ModelKind.FULL_INTERP,
-        matrix=matrix,
+        matrix=basis.value_rows(D),
         rhs=rhs,
         shift=shift,
         f_opt=f_opt,
-        row_tags=tags,
-        value_order=order,
-        point_count=ts.size,
-        dimension=n,
+        blocks=(RowBlock("value", order, 0, False),),
+        col_exponents=_repeat((-1, -2), (basis.n, basis.n_quadratic)),
         basis=basis,
     )
 
 
-def _min_frob_blocks(ts: TrainingSet, h_prev: np.ndarray):
-    shift, order, D = _shifted_non_incumbent(ts)
-    p = len(order)
+def _min_frob_system(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
     n = ts.dimension
+    shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)
+    p = len(order)
     gram = D @ D.T
-    A = 0.5 * gram**2
     matrix = np.zeros((p + n, p + n))
-    matrix[:p, :p] = A
+    matrix[:p, :p] = 0.5 * gram**2
     matrix[:p, p:] = D
     matrix[p:, :p] = D.T
-    f_opt = ts.incumbent_record.value
     correction = 0.5 * np.einsum("ij,jk,ik->i", D, h_prev, D)
-    rhs = np.concatenate(
-        [np.array([ts.records[i].value - f_opt for i in order]) - correction, np.zeros(n)]
+    return AssembledSystem(
+        kind=ModelKind.BOBYQA,
+        matrix=matrix,
+        rhs=np.concatenate([value_rhs - correction, np.zeros(n)]),
+        shift=shift,
+        f_opt=f_opt,
+        blocks=(
+            RowBlock("value", order, -2, False),
+            RowBlock("mfn", None, 1, False, tuple(range(1, n + 1))),
+        ),
+        # point columns, then the n gradient columns
+        col_exponents=_repeat((-2, 1), (p, n)),
+        basis=MonomialBasis(n),
+        shifted_points=D,
+        h_prev=h_prev,
     )
-    tags = tuple(("value", i) for i in order) + tuple(("mfn", l) for l in range(1, n + 1))
-    return shift, order, D, matrix, rhs, tags, f_opt
 
 
 def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
@@ -238,36 +298,12 @@ def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
     the combination weights to have zero first moment.
     """
     n = ts.dimension
-    basis = MonomialBasis(n)
-    if not n + 2 <= ts.size < basis.q1:
+    q1 = MonomialBasis(n).q1
+    if not n + 2 <= ts.size < q1:
         raise WrongSetSize(
-            f"min-Frobenius kind needs n+2 <= p1 < {basis.q1}, got {ts.size}"
+            f"min-Frobenius kind needs n+2 <= p1 < {q1}, got {ts.size}"
         )
-    h_prev = _check_symmetric(h_prev, n)
-    shift, order, D, matrix, rhs, tags, f_opt = _min_frob_blocks(ts, h_prev)
-    return AssembledSystem(
-        kind=ModelKind.BOBYQA,
-        matrix=matrix,
-        rhs=rhs,
-        shift=shift,
-        f_opt=f_opt,
-        row_tags=tags,
-        value_order=order,
-        point_count=ts.size,
-        dimension=n,
-        basis=basis,
-        shifted_points=D,
-        h_prev=h_prev,
-    )
-
-
-def _require_gradient_entry(record, direction: int, index: int) -> float:
-    try:
-        return record.gradient[direction]
-    except KeyError:
-        raise MissingDerivative(
-            f"record {index} lacks the derivative for direction {direction}"
-        ) from None
+    return _min_frob_system(ts, _check_symmetric(h_prev, n))
 
 
 def assemble_hermite_ls(
@@ -289,32 +325,22 @@ def assemble_hermite_ls(
     pairs = availability.pairs if include_second_order else ()
     if not directions and not pairs:
         raise ValueError("Hermite least squares needs derivative availability")
-    shift, order, D = _shifted_non_incumbent(ts)
-    f_opt = ts.incumbent_record.value
-
-    rhs = [ts.records[i].value - f_opt for i in order]
-    tags = [("value", i) for i in order]
-    for i, rec in enumerate(ts.records):
-        for direction in directions:
-            rhs.append(_require_gradient_entry(rec, direction, i))
-            tags.append(("grad", i, direction))
-    for i, rec in enumerate(ts.records):
-        for pair in pairs:
-            if pair not in rec.second:
-                raise MissingDerivative(
-                    f"record {i} lacks the second derivative for pair {pair}"
-                )
-            rhs.append(rec.second[pair])
-            tags.append(("hess", i, pair))
-
+    shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)
+    rhs = [value_rhs, _derivative_entries(ts, directions).ravel()]
     blocks = [
+        RowBlock("value", order, 0, True),
+        _derivative_block("grad", ts.size, directions, 1),
+    ]
+    parts = [
         basis.value_rows(D),
         basis.derivative_rows(ts.points - shift, [d - 1 for d in directions]),
     ]
     if pairs:
-        hess = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
-        blocks.append(np.tile(hess, (ts.size, 1)))
-    matrix = np.vstack(blocks)
+        rhs.append(_derivative_entries(ts, pairs, second=True).ravel())
+        blocks.append(_derivative_block("hess", ts.size, pairs, 2))
+        hess_rows = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
+        parts.append(np.tile(hess_rows, (ts.size, 1)))
+    matrix = np.vstack(parts)
     if matrix.shape[0] < basis.q1 - 1:
         raise Underdetermined(
             f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients"
@@ -322,13 +348,11 @@ def assemble_hermite_ls(
     return AssembledSystem(
         kind=ModelKind.HERMITE_LS,
         matrix=matrix,
-        rhs=np.array(rhs),
+        rhs=np.concatenate(rhs),
         shift=shift,
         f_opt=f_opt,
-        row_tags=tuple(tags),
-        value_order=order,
-        point_count=ts.size,
-        dimension=n,
+        blocks=tuple(blocks),
+        col_exponents=_repeat((-1, -2), (basis.n, basis.n_quadratic)),
         basis=basis,
     )
 
@@ -341,18 +365,18 @@ def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -
         sum_i v_i d_i[l] (d_i . d_j) + g_l = df/dx_l(y_j) - (h_prev d_j)_l
 
     built from the rank-one terms of the Hessian parameterization; the
-    stacked system is solved in the least-squares sense.
+    stacked system is solved in the least-squares sense.  Only these rows
+    take distance weights: the min-Frobenius rows couple all points.
     """
     n = ts.dimension
-    basis = MonomialBasis(n)
     directions = availability.directions
     if not directions:
         raise ValueError("Hermite BOBYQA needs first-order availability")
     if ts.size < n + 2:
         raise WrongSetSize(f"Hermite BOBYQA needs at least n+2 points, got {ts.size}")
-    h_prev = _check_symmetric(h_prev, n)
-    shift, order, D, base_matrix, base_rhs, base_tags, f_opt = _min_frob_blocks(ts, h_prev)
-    p = len(order)
+    base = _min_frob_system(ts, _check_symmetric(h_prev, n))
+    shift, D = base.shift, base.shifted_points
+    p = len(D)
 
     axes = np.array([d - 1 for d in directions])
     # D @ d_j and h_prev @ d_j for every point j as stacked matrix-vector
@@ -360,67 +384,36 @@ def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -
     # points would round differently
     P = (ts.points - shift)[:, :, None]
     inner = (D[None] @ P)[:, None, :, 0]
-    correction = (h_prev[None] @ P)[:, axes, 0]
+    correction = (base.h_prev[None] @ P)[:, axes, 0]
     # row (j, l): sum_i v_i (C^i d_j)_l + g_l, with (C^i d_j)_l = D[i, l] (d_i . d_j)
     grad_rows = np.zeros((ts.size, axes.size, p + n))
     grad_rows[:, :, :p] = D.T[axes][None] * inner
     grad_rows[:, np.arange(axes.size), p + axes] = 1.0
-    entries = [
-        [_require_gradient_entry(rec, direction, j) for direction in directions]
-        for j, rec in enumerate(ts.records)
-    ]
-    rhs = (np.array(entries) - correction).ravel()
-    tags = tuple(("grad", j, direction) for j in range(ts.size) for direction in directions)
-
-    matrix = np.vstack([base_matrix, grad_rows.reshape(-1, p + n)])
-    return AssembledSystem(
+    rhs = (_derivative_entries(ts, directions) - correction).ravel()
+    return dc_replace(
+        base,
         kind=ModelKind.HERMITE_BOBYQA,
-        matrix=matrix,
-        rhs=np.concatenate([base_rhs, rhs]),
-        shift=shift,
-        f_opt=f_opt,
-        row_tags=base_tags + tags,
-        value_order=order,
-        point_count=ts.size,
-        dimension=n,
-        basis=basis,
-        shifted_points=D,
-        h_prev=h_prev,
+        matrix=np.vstack([base.matrix, grad_rows.reshape(-1, p + n)]),
+        rhs=np.concatenate([base.rhs, rhs]),
+        blocks=base.blocks + (_derivative_block("grad", ts.size, directions, -1),),
     )
 
 
 def _scaling_vectors(sys: AssembledSystem, delta: float):
-    n = sys.dimension
-    p = len(sys.value_order)
-    if sys.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
-        # columns: n linear then q1-1-n quadratic
-        right = np.concatenate(
-            [np.full(n, 1.0 / delta), np.full(sys.basis.n_quadratic, 1.0 / delta**2)]
-        )
-        left = np.ones(sys.rows)
-        for r, tag in enumerate(sys.row_tags):
-            if tag[0] == "grad":
-                left[r] = delta
-            elif tag[0] == "hess":
-                # keeps second-order rows on the scale of the scaled points
-                left[r] = delta**2
-        return left, right
-    diag = np.concatenate([np.full(p, 1.0 / delta**2), np.full(n, delta)])
-    if sys.kind is ModelKind.BOBYQA:
-        return diag.copy(), diag
-    # Hermite BOBYQA: extra 1/delta on every appended gradient row
-    n_grad = sys.rows - (p + n)
-    left = np.concatenate([diag, np.full(n_grad, 1.0 / delta)])
-    return left, diag
+    # delta**e for e = -2..2, each from the expression that keeps the
+    # scaled systems bit for bit; a vector power rounds differently
+    powers = np.array([1.0 / delta**2, 1.0 / delta, 1.0, delta, delta**2])
+    blocks = sys.blocks
+    row_exponents = _repeat(tuple(b.exponent for b in blocks), tuple(b.rows for b in blocks))
+    return powers[row_exponents + 2], powers[sys.col_exponents + 2]
 
 
 def apply_scaling(sys: AssembledSystem, delta: float) -> AssembledSystem:
     """Precondition the system for trust radius ``delta``.
 
-    Point entries are effectively scaled by 1/delta: linear columns pick
-    up 1/delta, quadratic columns 1/delta^2, and row scalings restore the
-    derivative rows to unit magnitude.  The solution is mapped back by
-    the stored column scaling after the solve.
+    Point entries are effectively scaled by 1/delta: each row block and
+    column group is multiplied by delta to its exponent.  The solution
+    is mapped back by the stored column scaling after the solve.
     """
     if delta <= 0:
         raise ValueError("trust radius must be positive")
@@ -437,20 +430,15 @@ def apply_scaling(sys: AssembledSystem, delta: float) -> AssembledSystem:
 
 
 def apply_weighting(sys: AssembledSystem, scheme: WeightScheme, ts: TrainingSet) -> AssembledSystem:
-    """Multiply each row (and its right-hand side) by its point's weight.
+    """Multiply the rows of every weighted block (and their right-hand
+    sides) by their points' weights; other rows keep weight one.
 
-    Only the regression kinds admit weighting; for Hermite BOBYQA the
-    min-Frobenius block keeps weight one because those rows couple all
-    points at once.
+    Only the Hermite kinds have weighted blocks.
     """
-    if sys.kind not in HERMITE_KINDS:
+    if not any(b.weighted for b in sys.blocks):
         raise KindMismatch(f"weighting does not apply to {sys.kind.value}")
     w = scheme.weights(ts)
-    row_w = np.ones(sys.rows)
-    for r, tag in enumerate(sys.row_tags):
-        if sys.kind is ModelKind.HERMITE_BOBYQA and tag[0] != "grad":
-            continue
-        row_w[r] = w[tag[1]]
+    row_w = np.concatenate([w[b.points] if b.weighted else np.ones(b.rows) for b in sys.blocks])
     return dc_replace(
         sys,
         matrix=row_w[:, None] * sys.matrix,
@@ -484,12 +472,12 @@ def solve_raw(matrix: np.ndarray, rhs: np.ndarray, factors=None) -> np.ndarray:
 
 def recover_model(sys: AssembledSystem, coefficients: np.ndarray) -> QuadraticModel:
     """Map a solution vector back onto (c, g, H) per the system kind."""
-    n = sys.dimension
+    n = sys.basis.n
     if sys.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
         g = coefficients[:n]
         H = sys.basis.unpack_hessian(coefficients[n:])
     else:
-        p = len(sys.value_order)
+        p = sys.value_block.rows
         vq = coefficients[:p]
         g = coefficients[p : p + n]
         H = sys.h_prev + sys.shifted_points.T @ (vq[:, None] * sys.shifted_points)

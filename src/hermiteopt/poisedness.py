@@ -59,6 +59,7 @@ from .models import (
     FROBENIUS_KINDS,
     AssembledSystem,
     QuadraticModel,
+    RowBlock,
     require_full_rank,
 )
 from .problem import Bounds
@@ -255,19 +256,19 @@ class LagrangeFamily:
     Polynomial ``j`` is ``constants[j] + coeffs[:, j] . phi(x - center)``,
     with ``phi`` the basis row without the constant (linear block, then
     the packed Hessian).  The first columns belong to the training
-    points, aligned with training indices; the last ``len(row_tags)``
-    belong to the derivative rows those tags name, in system order.
+    points, aligned with training indices; the rest belong to the rows
+    of the derivative blocks ``row_blocks``, in system order.
     """
 
     center: np.ndarray
     coeffs: np.ndarray
     constants: np.ndarray
     incumbent_index: int
-    row_tags: tuple = ()
+    row_blocks: tuple[RowBlock, ...] = ()
 
     @property
     def point_count(self) -> int:
-        return self.coeffs.shape[1] - len(self.row_tags)
+        return self.coeffs.shape[1] - sum(b.rows for b in self.row_blocks)
 
     @cached_property
     def basis(self) -> MonomialBasis:
@@ -291,8 +292,14 @@ class LagrangeFamily:
 
     @property
     def row_polys(self) -> tuple[tuple[tuple, QuadraticModel], ...]:
+        """``((name, i, direction or pair), polynomial)`` per derivative row."""
+        labels = [
+            (b.name, int(i), b.labels[k % len(b.labels)])
+            for b in self.row_blocks
+            for k, i in enumerate(b.points)
+        ]
         first = self.point_count
-        return tuple((tag, self.polynomial(first + k)) for k, tag in enumerate(self.row_tags))
+        return tuple((label, self.polynomial(first + k)) for k, label in enumerate(labels))
 
     def values(self, points: np.ndarray, columns=slice(None)) -> np.ndarray:
         """Values of the chosen columns at every point (points x columns),
@@ -329,28 +336,31 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
     if sys.scaled:
         coeff = coeff * sys.row_scale[None, :]
 
-    n = sys.dimension
+    n = sys.basis.n
+    value = sys.value_block
+    p = value.rows
     if sys.kind in FROBENIUS_KINDS:
         # Hessians of every column at once from the rank-one parameterization
-        p = len(sys.value_order)
         D = sys.shifted_points
         H = D.T[None] @ (coeff[:p].T[:, :, None] * D[None])
         H = 0.5 * (H + H.transpose(0, 2, 1))
         coeff = np.vstack([coeff[p : p + n], sys.basis.pack_hessian(H.transpose(1, 2, 0))])
 
-    tags = sys.row_tags
-    point_rows = [r for r, tag in enumerate(tags) if tag[0] == "value"]
-    derivative_rows = [r for r, tag in enumerate(tags) if tag[0] in ("grad", "hess")]
-    count = sys.point_count
-    coeffs = np.empty((coeff.shape[0], count + len(derivative_rows)))
-    coeffs[:, [tags[r][1] for r in point_rows]] = coeff[:, point_rows]
-    coeffs[:, count:] = coeff[:, derivative_rows]
+    # every kind lists its value rows first and its derivative rows last;
+    # the incumbent owns no value row
+    count = p + 1
+    row_blocks = tuple(b for b in sys.blocks if b.name in ("grad", "hess"))
+    derivative_rows = sum(b.rows for b in row_blocks)
+    coeffs = np.empty((coeff.shape[0], count + derivative_rows))
+    coeffs[:, value.points] = coeff[:, :p]
+    coeffs[:, count:] = coeff[:, sys.rows - derivative_rows :]
 
     # the incumbent polynomial is the complement, which reproduces
     # constants; summed point by point in training order
-    incumbent = next(i for i in range(count) if i not in sys.value_order)
+    # the one index the value rows skip: 0 + 1 + ... + p less theirs
+    incumbent = count * p // 2 - int(np.sum(value.points))
     total = np.zeros(coeff.shape[0])
-    for i in sys.value_order:
+    for i in value.points.tolist():
         total = total + coeffs[:, i]
     coeffs[:, incumbent] = -total
     constants = np.zeros(coeffs.shape[1])
@@ -360,7 +370,7 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
         coeffs=coeffs,
         constants=constants,
         incumbent_index=incumbent,
-        row_tags=tuple(tags[r] for r in derivative_rows),
+        row_blocks=row_blocks,
     )
 
 

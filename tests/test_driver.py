@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from util import availability, build_training_set, random_quadratic
+from util import availability, build_training_set, random_quadratic, row_tags
 
 from hermiteopt import _blas, driver
 from hermiteopt.bench import ExperimentPlan, _run_case, expand_plan, registry
@@ -396,6 +396,57 @@ class TestNonFiniteValues:
         assert result.x_best is None and result.f_best == float("inf")
         assert result.evaluation_log == [("init", float("inf"))]
 
+    @staticmethod
+    def run_poisoned_entry(which, kind, bad, at, second_order=False):
+        """rosenbrock2 with direction 2 and pairs (1, 2), (2, 2) known, whose
+        ``which`` oracle returns ``bad`` in its last entry on its ``at``-th
+        call; every point the value oracle saw is recorded."""
+        problem = get_problem("rosenbrock2")
+        spec = mask_availability(problem, {2}, {(1, 2), (2, 2)})
+        good, calls, count = getattr(spec, which), [], [0]
+
+        def value(x):
+            calls.append(np.array(x))
+            return problem.value(x)
+
+        def oracle(x):
+            count[0] += 1
+            entries = np.array(good(x), dtype=float)
+            if count[0] == at:
+                entries[-1] = bad
+            return entries
+
+        spec = dataclasses.replace(spec, value=value, **{which: oracle})
+        config = SolverConfig(kind=kind, second_order=second_order, max_evaluations=300)
+        return problem, run(spec, problem.x_start, config), calls, count[0]
+
+    @pytest.mark.parametrize("kind", [ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    # 3 lies inside the initial set; before derivative entries were checked,
+    # 3 and 20 escaped as OutOfBounds and 8 and 12 ended the run normally
+    @pytest.mark.parametrize("at", [3, 8, 12, 20])
+    def test_non_finite_derivative_entry_ends_the_run(self, kind, bad, at):
+        problem, result, calls, oracle_calls = self.run_poisoned_entry("derivative", kind, bad, at)
+        self.check_poisoned_entry(problem, result, calls, oracle_calls, at)
+
+    @pytest.mark.parametrize("at", [3, 12])
+    def test_non_finite_second_derivative_entry_ends_the_run(self, at):
+        problem, result, calls, oracle_calls = self.run_poisoned_entry(
+            "second_derivative", ModelKind.HERMITE_LS, float("nan"), at, second_order=True
+        )
+        self.check_poisoned_entry(problem, result, calls, oracle_calls, at)
+
+    @staticmethod
+    def check_poisoned_entry(problem, result, calls, oracle_calls, at):
+        assert result.reason is TerminationReason.NONFINITE_VALUE
+        # billed and logged, and nothing is evaluated after it
+        assert result.evaluations == len(calls) == oracle_calls == len(result.evaluation_log) == at
+        # its finite value never becomes the best
+        f_best, i_best = min((problem.value(x), i) for i, x in enumerate(calls[:-1]))
+        assert result.f_best == f_best and np.isfinite(result.f_best)
+        assert np.array_equal(result.x_best, calls[i_best]) and np.all(np.isfinite(result.x_best))
+        assert result.evaluation_log[-1][1] == f_best
+
 
 def oracle_spec(which, at, exc):
     """rosenbrock2 with the derivative in direction 2 known, whose ``which``
@@ -589,13 +640,53 @@ class TestReachableStates:
                 break
 
 
+class TestAssemblySpans:
+    """perfbench's ``models.assemble`` and ``models.apply_scaling`` spans
+    replace the four ``assemble_*`` names and ``apply_scaling`` as module
+    globals of ``hermiteopt.driver``; a system built any other way would
+    escape them."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_every_solved_system_passes_through_the_patched_names(self, kind, monkeypatch):
+        seen = {"assembled": [], "scaled": [], "weighted": []}
+
+        def wrap(name, into, source=None):
+            real = getattr(driver, name)
+
+            def wrapper(sys, *args, **kwargs):
+                if source is not None:
+                    assert any(sys is s for s in seen[source]), f"{name} got an unseen system"
+                out = real(sys, *args, **kwargs)
+                seen[into].append(out)
+                return out
+
+            monkeypatch.setattr(driver, name, wrapper)
+
+        for name in ("assemble_full_interp", "assemble_min_frob", "assemble_hermite_ls", "assemble_hermite_bobyqa"):
+            wrap(name, "assembled")
+        wrap("apply_scaling", "scaled", "assembled")
+        wrap("apply_weighting", "weighted", "scaled")
+        consumed = []
+        for name in ("solve_system", "lagrange_family"):
+            real = getattr(driver, name)
+            monkeypatch.setattr(driver, name, lambda sys, real=real: consumed.append(sys) or real(sys))
+
+        problem, spec = spec_for("rosenbrock5", mask=(1, 3))
+        result = run(spec, problem.x_start, SolverConfig(kind=kind, weighting=True, max_evaluations=120))
+        assert result.trace and consumed
+        built = seen["scaled"] + seen["weighted"]
+        assert all(any(sys is s for s in built) for sys in consumed)
+        assert len(seen["assembled"]) == len(seen["scaled"])
+        assert bool(seen["weighted"]) == (kind in (ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA))
+
+
 class TestRankRepairScores:
     @staticmethod
     def reference_score(sys, null, cand, delta):
         """One candidate's score, its rows built on their own; the batched
         scoring must reproduce it bit for bit."""
         z = cand - sys.shift
-        axes = sorted({tag[2] - 1 for tag in sys.row_tags if tag[0] == "grad"})
+        axes = sorted({tag[2] - 1 for tag in row_tags(sys.blocks) if tag[0] == "grad"})
         rows = np.vstack(
             [
                 sys.basis.value_row(z) * sys.col_scale,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from util import availability, build_training_set, kkt_min_frobenius, poised_points, random_quadratic
+from util import availability, build_training_set, kkt_min_frobenius, poised_points, random_quadratic, row_tags
 
 from hermiteopt.exceptions import (
     KindMismatch,
@@ -152,7 +152,7 @@ class TestHermiteLS:
         rng = np.random.default_rng(11)
         ts, _ = quad_set(2, 3, rng, directions=(1, 2))
         sys = assemble_hermite_ls(ts, availability((1, 2)))
-        tags = sys.row_tags
+        tags = row_tags(sys.blocks)
         assert [t[0] for t in tags[:2]] == ["value", "value"]
         grads = tags[2:]
         # all directions of one point before the next point
@@ -191,7 +191,7 @@ class TestHermiteLS:
         ts, (c, g, H, fn, grad) = quad_set(2, 3, rng, directions=(1,), pairs=pairs)
         sys = assemble_hermite_ls(ts, availability((1,), pairs), include_second_order=True)
         assert sys.matrix.shape == (2 + 3 * 1 + 3 * 3, 5)
-        hess_rows = [t for t in sys.row_tags if t[0] == "hess"]
+        hess_rows = [t for t in row_tags(sys.blocks) if t[0] == "hess"]
         assert len(hess_rows) == 9
         model = solve_system(sys)
         assert np.allclose(model.H, H, atol=1e-9)
@@ -220,7 +220,7 @@ class TestHermiteBobyqa:
         x_opt = ts.incumbent_record.point
         D = sys.shifted_points
         row = sys.matrix[6]  # first gradient row: point 0 in value order? no: j=0 storage
-        tag = sys.row_tags[6]
+        tag = row_tags(sys.blocks)[6]
         assert tag[0] == "grad"
         j, direction = tag[1], tag[2]
         dj = ts.records[j].point - x_opt
@@ -448,7 +448,7 @@ def test_hermite_derivative_rows_match_value_row_differences():
     sys = assemble_hermite_ls(ts, availability((1, 2)))
     basis = sys.basis
     h = 1e-5
-    for r, tag in enumerate(sys.row_tags):
+    for r, tag in enumerate(row_tags(sys.blocks)):
         if tag[0] != "grad":
             continue
         _, i, direction = tag
@@ -470,7 +470,7 @@ class TestVectorizedAssembly:
         ts, _ = quad_set(n, 2 * n + 1, rng, directions, pairs)
         sys = assemble_hermite_ls(ts, availability(directions, pairs), include_second_order=True)
         basis, shift = sys.basis, sys.shift
-        rows = [basis.value_row(ts.records[i].point - shift) for i in sys.value_order]
+        rows = [basis.value_row(ts.records[i].point - shift) for i in sys.value_block.points]
         rows += [
             basis.derivative_row(rec.point - shift, d - 1) for rec in ts.records for d in directions
         ]
@@ -479,7 +479,7 @@ class TestVectorizedAssembly:
 
         full, _ = quad_set(n, basis.q1, rng)
         sys = assemble_full_interp(full)
-        rows = [basis.value_row(full.records[i].point - sys.shift) for i in sys.value_order]
+        rows = [basis.value_row(full.records[i].point - sys.shift) for i in sys.value_block.points]
         assert np.array_equal(sys.matrix, np.array(rows))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -492,7 +492,7 @@ class TestVectorizedAssembly:
         sys = assemble_hermite_bobyqa(ts, availability(directions), h_prev)
         # the per-point, per-direction construction the block form replaced
         shift, D = sys.shift, sys.shifted_points
-        p = len(sys.value_order)
+        p = sys.value_block.rows
         rows, rhs = [], []
         for j, rec in enumerate(ts.records):
             dj = rec.point - shift
@@ -507,6 +507,6 @@ class TestVectorizedAssembly:
                 rhs.append(rec.gradient[direction] - correction[direction - 1])
         assert np.array_equal(sys.matrix[p + n :], np.array(rows))
         assert np.array_equal(sys.rhs[p + n :], np.array(rhs))
-        assert sys.row_tags[p + n :] == tuple(
+        assert row_tags(sys.blocks)[p + n :] == tuple(
             ("grad", j, d) for j in range(ts.size) for d in directions
         )

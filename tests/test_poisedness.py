@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from util import availability, build_training_set, poised_points, random_quadratic
+from util import availability, build_training_set, poised_points, random_quadratic, row_tags
 
 from hermiteopt.basis import MonomialBasis
 from hermiteopt.models import (
@@ -274,7 +274,7 @@ class TestRegressionFamilies:
         family = lagrange_family(sys)
         basis = sys.basis
         # check each data row's solve against numpy lstsq
-        for r, tag in enumerate(sys.row_tags):
+        for r, tag in enumerate(row_tags(sys.blocks)):
             e = np.zeros(sys.rows)
             e[r] = 1.0
             ref, *_ = np.linalg.lstsq(sys.matrix, e, rcond=None)
@@ -379,7 +379,7 @@ class TestMatrixForm:
             assert tags and set(tags) == {"grad"}
         assert family.coeffs.shape[1] == len(polys) == family.point_count + len(tags)
         rng = np.random.default_rng(41)
-        pts = sys.shift + rng.uniform(-1.0, 1.0, size=(300, sys.dimension))
+        pts = sys.shift + rng.uniform(-1.0, 1.0, size=(300, sys.basis.n))
         exact = np.column_stack([p.value_at(pts) for p in polys])
         np.testing.assert_allclose(family.values(pts), exact, rtol=1e-12, atol=0)
 
@@ -981,7 +981,7 @@ class TestPrunedScreen:
             coeffs[3, 1] = np.nan
         else:
             constants[1] = np.nan
-        poisoned = LagrangeFamily(family.center, coeffs, constants, family.incumbent_index, family.row_tags)
+        poisoned = LagrangeFamily(family.center, coeffs, constants, family.incumbent_index, family.row_blocks)
         region = Region(family.center, 0.5, Bounds.unbounded(4))
         assert len(region.sample()) > GEMM_BLOCK
         expected = reference_estimate_lambda(poisoned, region).lam

@@ -111,3 +111,34 @@ def kkt_min_frobenius(points, values, incumbent_index, h_prev):
     H[ju, iu] = sol[:m]
     g = sol[m : m + n]
     return g, H
+
+
+def row_tags(blocks):
+    """Per-row provenance tags expanded from a system's row blocks:
+    ``("value", i)``, ``("grad", i, l)``, ``("hess", i, (a, b))`` and
+    ``("mfn", l)``, with ``i`` a training index and directions 1-based."""
+    tags = []
+    for b in blocks:
+        if b.name == "mfn":
+            tags += [("mfn", l) for l in b.labels]
+        elif b.name == "value":
+            tags += [("value", int(i)) for i in b.points]
+        else:
+            tags += [(b.name, int(i), b.labels[k % len(b.labels)]) for k, i in enumerate(b.points)]
+    return tuple(tags)
+
+
+class TaggedSystem:
+    """A system seen through the per-row fields it had before row blocks
+    (``row_tags``, ``value_order``, ``point_count``, ``dimension``), for
+    the reference implementations written against them."""
+
+    def __init__(self, sys):
+        self._sys = sys
+        self.row_tags = row_tags(sys.blocks)
+        self.value_order = tuple(int(i) for i in sys.value_block.points)
+        self.point_count = len(self.value_order) + 1
+        self.dimension = sys.basis.n
+
+    def __getattr__(self, name):
+        return getattr(self._sys, name)
