@@ -58,14 +58,10 @@ class MonomialBasis:
 
     def value_row(self, z: np.ndarray) -> np.ndarray:
         """Basis values at a shifted point, constant excluded."""
-        z = np.asarray(z, dtype=float)
-        quad = z[self._ii] * z[self._jj]
-        quad[self._diag] *= 0.5
-        return np.concatenate([z, quad])
+        return self.value_rows(z)[0]
 
     def value_rows(self, Z: np.ndarray) -> np.ndarray:
-        """``value_row`` of every row of ``Z``, stacked.  ``value_row``
-        keeps its own one-point form, which costs half as much per call."""
+        """``value_row`` of every row of ``Z``, stacked."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         quad = Z[:, self._ii] * Z[:, self._jj]
         quad[:, self._diag] *= 0.5
@@ -73,23 +69,18 @@ class MonomialBasis:
 
     def derivative_row(self, z: np.ndarray, axis: int) -> np.ndarray:
         """First partial derivative of every basis function along ``axis``."""
-        z = np.asarray(z, dtype=float)
-        lin = np.zeros(self.n)
-        lin[axis] = 1.0
-        quad = (self._ii == axis) * z[self._jj] + (self._jj == axis) * z[self._ii]
-        # the 1/2 on squares turns the doubled diagonal term back into z_axis
-        quad[self._diag] *= 0.5
-        return np.concatenate([lin, quad])
+        return self.derivative_rows(z, [axis])[0]
 
     def derivative_rows(self, Z: np.ndarray, axes) -> np.ndarray:
         """``derivative_row`` of every row of ``Z`` along every axis in
         ``axes``, point-major (all axes of the first point, then the
-        next point, ...), with the same elementwise arithmetic."""
+        next point, ...)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         axes = np.asarray(axes, dtype=int)
         shape = (Z.shape[0], axes.size)
         ii, jj = self._ii, self._jj
         quad = (ii == axes[:, None]) * Z[:, None, jj] + (jj == axes[:, None]) * Z[:, None, ii]
+        # the 1/2 on squares turns the doubled diagonal term back into z_axis
         quad[..., self._diag] *= 0.5
         lin = np.broadcast_to(np.eye(self.n)[axes], shape + (self.n,))
         return np.concatenate([lin, quad], axis=2).reshape(-1, self.q1 - 1)

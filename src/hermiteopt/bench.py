@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .driver import RunResult, SolverConfig, run
+from .driver import RunResult, SolverConfig, TraceRow, run
 from .exceptions import MalformedInput, UnknownProblem
 from .models import HERMITE_KINDS, ModelKind
 from .problem import ObjectiveSpec
@@ -54,22 +54,7 @@ SUMMARY_COLUMNS = (
     "delta_vs_bobyqa_pct",
 )
 
-TRACE_COLUMNS = (
-    "iteration",
-    "evaluations",
-    "radius",
-    "f_best",
-    "accepted",
-    "model_error",
-    "ratio",
-    "step_norm",
-    "predicted_decrease",
-    "repairs",
-    "sigma_ratio",
-    "replaced",
-    "lam",
-    "lam_bound",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 # relative f-gap against the reference optimum that counts as success
 SUCCESS_RTOL = 1e-6
@@ -164,9 +149,12 @@ class PlanCase:
     index: int
     problem: str
     kind: ModelKind
-    kd: int
     mask: tuple[int, ...]
     seed: int
+
+    @property
+    def kd(self) -> int:
+        return len(self.mask)
 
 
 def _masks_for(n: int, kd: int, sample_seed: int) -> list[tuple[int, ...]]:
@@ -203,22 +191,15 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
         for kind in plan.kinds:
             if not entry.maskable:
                 mask_set = [(1, 2)]  # yield cases fix their availability
-                kd_of = {(1, 2): 2}
             elif kind not in HERMITE_KINDS:
                 mask_set = [()]
-                kd_of = {(): 0}
             else:
-                mask_set = []
-                kd_of = {}
-                for kd in plan.kd_values:
-                    if kd == 0 or kd > entry.dimension:
-                        continue
-                    for mask in _masks_for(entry.dimension, kd, sample_seed):
-                        mask_set.append(mask)
-                        kd_of[mask] = kd
-                if not mask_set:
-                    mask_set = [()]
-                    kd_of = {(): 0}
+                mask_set = [
+                    mask
+                    for kd in plan.kd_values
+                    if 0 < kd <= entry.dimension
+                    for mask in _masks_for(entry.dimension, kd, sample_seed)
+                ] or [()]
             for mask in mask_set:
                 for seed in plan.seeds:
                     expanded.append(
@@ -226,7 +207,6 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
                             index=len(expanded),
                             problem=name,
                             kind=kind,
-                            kd=kd_of[mask],
                             mask=mask,
                             seed=seed,
                         )

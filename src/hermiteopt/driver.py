@@ -11,6 +11,7 @@ improvement evaluation when the poisedness estimate is poor.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,10 +85,6 @@ STALE_FACTOR = 8.0
 STEP_TINY = 1e-14
 # singular values below NULL_RTOL * s[0] span a system's null space
 NULL_RTOL = 1e-10
-# the model-error diagnostic integrates over a midpoint grid of
-# DIAGNOSTIC_PER_AXIS**n points, at most DIAGNOSTIC_MAX_POINTS
-DIAGNOSTIC_PER_AXIS = 11
-DIAGNOSTIC_MAX_POINTS = 2_000_000
 
 
 @dataclass
@@ -395,7 +392,7 @@ def initialize(
 def _assemble(ts: TrainingSet, spec: ObjectiveSpec, config: SolverConfig, state: IterationState):
     avail = spec.availability
     kind = config.kind
-    second = config.second_order and bool(avail.pairs)
+    second = bool(avail.pairs)
     if kind is ModelKind.HERMITE_LS and avail.k_d == 0 and not second:
         kind = ModelKind.FULL_INTERP
     if kind is ModelKind.HERMITE_BOBYQA and avail.k_d == 0:
@@ -518,39 +515,36 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
     return ts.replace(target, evaluator(pick, "repair")), target
 
 
-def check_diagnostic_grid(n: int, per_axis: int = DIAGNOSTIC_PER_AXIS) -> None:
-    """Raise ValueError when the diagnostic's grid in dimension n is too large."""
-    if per_axis**n > DIAGNOSTIC_MAX_POINTS:
-        raise ValueError(
-            f"diagnostic grid too large for this dimension: {per_axis}**{n} points "
-            f"exceed {DIAGNOSTIC_MAX_POINTS}"
-        )
-
-
 def model_error_diagnostic(
     model: QuadraticModel,
     reference: TaylorReference,
     center: np.ndarray,
     halfwidth: float = 0.01,
-    per_axis: int = DIAGNOSTIC_PER_AXIS,
 ) -> float:
     """Squared L2 distance between the model and the second-order Taylor
-    expansion of the reference function, over the box center +- halfwidth,
-    approximated with a midpoint tensor grid."""
+    expansion of the reference function at ``center``, over the box
+    center +- halfwidth.
+
+    Both are quadratics, so the integral is exact from the moments of the
+    uniform box, mu2 = h^2/3 and mu4 = h^4/5.  With a, b and C the
+    differences of value, gradient and Hessian at the center, it is
+
+        (2h)^n [(a + mu2 tr C/2)^2 + mu2 |b|^2
+                + ((mu4 - mu2^2) sum C_ii^2 + 2 mu2^2 sum_{i!=j} C_ij^2)/4],
+
+    a sum of nonnegative terms.
+    """
     center = np.asarray(center, dtype=float)
-    n = center.size
-    check_diagnostic_grid(n, per_axis)
-    h = 2.0 * halfwidth / per_axis
-    axes = [center[i] - halfwidth + h * (np.arange(per_axis) + 0.5) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    f0 = reference.value(center)
-    g0 = np.asarray(reference.gradient(center), dtype=float)
-    H0 = np.asarray(reference.hessian(center), dtype=float)
-    D = pts - center
-    taylor = f0 + D @ g0 + 0.5 * np.einsum("ij,jk,ik->i", D, H0, D)
-    diff = model.value_at(pts) - taylor
-    return float(np.sum(diff**2) * h**n)
+    h = float(halfwidth)
+    mu2, mu4 = h**2 / 3.0, h**4 / 5.0
+    a = model.value(center) - reference.value(center)
+    b = model.gradient(center) - np.asarray(reference.gradient(center), dtype=float)
+    C = model.H - np.asarray(reference.hessian(center), dtype=float)
+    diag = np.diag(C)
+    off = C - np.diag(diag)
+    quartic = (mu4 - mu2**2) * float(diag @ diag) + 2.0 * mu2**2 * float(np.sum(off * off))
+    mean_sq = (a + 0.5 * mu2 * float(np.sum(diag))) ** 2 + mu2 * float(b @ b) + 0.25 * quartic
+    return float((2.0 * h) ** center.size * mean_sq)
 
 
 def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=None):
@@ -728,19 +722,22 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
 
     numpy's OpenBLAS, when found, runs on one thread until the call
     returns or raises, oracle calls included; the caller's thread count
-    is restored afterwards.
+    is restored afterwards.  Only hermite-ls with ``second_order`` on
+    reads second-order rows; every other run leaves ``second_derivative``
+    uncalled.
     """
     config = config or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
         raise ValueError(f"start point has shape {x0.shape}, expected ({spec.dimension},)")
+    if spec.availability.pairs and not (config.kind is ModelKind.HERMITE_LS and config.second_order):
+        avail = dataclasses.replace(spec.availability, second_order=frozenset())
+        spec = dataclasses.replace(spec, availability=avail)
     p1 = resolved_point_count(spec, config)
     if config.max_evaluations < p1:
         raise ValueError(
             f"budget {config.max_evaluations} cannot cover the {p1} initialization points"
         )
-    if config.model_error_diagnostic and spec.taylor_reference is not None:
-        check_diagnostic_grid(spec.dimension)
     budget = EvaluationBudget(config.max_evaluations)
     evaluator = Evaluator(spec, budget)
     trace: list[TraceRow] = []

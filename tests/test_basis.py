@@ -121,3 +121,40 @@ def test_cached_pair_indices_are_shared_and_read_only():
     ii, jj = np.triu_indices(4)
     assert np.array_equal(a._ii, ii) and np.array_equal(a._jj, jj)
     assert np.array_equal(a._diag, ii == jj)
+
+
+def one_point_value_row(basis, z):
+    """The one-point form ``value_row`` had before it delegated to
+    ``value_rows``: the reference for the test below."""
+    z = np.asarray(z, dtype=float)
+    quad = z[basis._ii] * z[basis._jj]
+    quad[basis._diag] *= 0.5
+    return np.concatenate([z, quad])
+
+
+def one_point_derivative_row(basis, z, axis):
+    """The one-point form ``derivative_row`` had before it delegated to
+    ``derivative_rows``."""
+    z = np.asarray(z, dtype=float)
+    lin = np.zeros(basis.n)
+    lin[axis] = 1.0
+    quad = (basis._ii == axis) * z[basis._jj] + (basis._jj == axis) * z[basis._ii]
+    quad[basis._diag] *= 0.5
+    return np.concatenate([lin, quad])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_single_rows_match_their_one_point_forms_bitwise(n):
+    basis = MonomialBasis(n)
+    rng = np.random.default_rng(100 + n)
+    Z = rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-8, 8, size=(40, n))
+    Z[0] = 0.0
+    Z[1] = -0.0
+    for z in Z:
+        expected = one_point_value_row(basis, z)
+        assert np.array_equal(basis.value_row(z), expected)
+        assert np.array_equal(np.signbit(basis.value_row(z)), np.signbit(expected))
+        for axis in range(n):
+            expected = one_point_derivative_row(basis, z, axis)
+            assert np.array_equal(basis.derivative_row(z, axis), expected)
+            assert np.array_equal(np.signbit(basis.derivative_row(z, axis)), np.signbit(expected))

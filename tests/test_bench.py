@@ -15,7 +15,7 @@ from hermiteopt.bench import (
 from hermiteopt.cli import main
 from hermiteopt.driver import SolverConfig, run
 from hermiteopt.exceptions import MalformedInput, UnknownProblem
-from hermiteopt.models import ModelKind
+from hermiteopt.models import HERMITE_KINDS, ModelKind
 from hermiteopt.testbed import get_problem, mask_availability
 
 
@@ -65,6 +65,17 @@ class TestPlanExpansion:
         cases = expand_plan(plan)
         assert len(cases) == 1
         assert cases[0].mask == (1, 2) and cases[0].kd == 2
+
+    def test_kd_is_the_mask_length_and_keeps_the_requested_counts(self):
+        kinds = tuple(ModelKind)
+        problems = ("sphere2", "rosenbrock5", "zakharov10", "trid4", "yield-nonoise")
+        cases = expand_plan(small_plan(problems=problems, kinds=kinds, kd_values=(0, 1, 2, 3, 9)))
+        assert all(c.kd == len(c.mask) for c in cases)
+        for name, n in zip(problems[:4], (2, 5, 10, 4)):
+            hermite = {c.kd for c in cases if c.problem == name and c.kind in HERMITE_KINDS}
+            assert hermite == {kd for kd in (1, 2, 3, 9) if kd <= n}
+        # cases still compare by their fields
+        assert expand_plan(small_plan(problems=problems, kinds=kinds, kd_values=(0, 1, 2, 3, 9))) == cases
 
 
 class TestRunPlan:
@@ -285,12 +296,14 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["model_error"] != ""
 
-    def test_trace_diagnostic_too_large_fails_up_front(self, tmp_path, capsys):
+    def test_trace_diagnostic_runs_at_n10(self, tmp_path):
         out = tmp_path / "trace.csv"
         argv = ["trace", "--problems", "zakharov10", "--kinds", "hermite-ls", "--kd", "5"]
-        assert main(argv + ["--diagnostic", "--out", str(out)]) == 1
-        assert "diagnostic grid too large" in capsys.readouterr().err
-        assert not out.exists()
+        # rank repairs take the first 200 evaluations (ROADMAP direction 2)
+        assert main(argv + ["--budget", "300", "--diagnostic", "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(np.isfinite(float(r["model_error"])) for r in rows)
 
     def test_unknown_problem_exit_code(self, tmp_path, capsys):
         code = main(

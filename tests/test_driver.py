@@ -37,7 +37,7 @@ from hermiteopt.models import (
 )
 from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_lambda, lagrange_family
 from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference, TrainingSet
-from hermiteopt.testbed import get_problem, mask_availability
+from hermiteopt.testbed import get_problem, mask_availability, rosenbrock
 
 
 def spec_for(name, mask=()):
@@ -270,27 +270,48 @@ class TestDiagnostic:
         err = model_error_diagnostic(model, ref, center, halfwidth=delta)
         assert err == pytest.approx(eps**2 * (2 * delta) ** 2, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["sphere10", "rosenbrock10", "zakharov10"])
-    def test_too_large_grid_rejected_before_any_call(self, name):
-        problem = get_problem(name)
-        calls = []
-        spec = dataclasses.replace(
-            mask_availability(problem, {1}), value=lambda x: calls.append(x) or problem.value(x)
-        )
-        config = SolverConfig(kind=ModelKind.HERMITE_LS, model_error_diagnostic=True)
-        with pytest.raises(ValueError, match="diagnostic grid too large"):
-            run(spec, problem.x_start, config)
-        assert calls == []
+    @staticmethod
+    def gauss_legendre(model, ref, center, h):
+        """The squared error integrated by the 3-point Gauss-Legendre tensor
+        rule, exact for the degree-4 integrand."""
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        n = center.size
+        grid = np.stack(np.meshgrid(*[nodes] * n, indexing="ij"), -1).reshape(-1, n)
+        w = np.prod(np.stack(np.meshgrid(*[weights] * n, indexing="ij"), -1).reshape(-1, n), axis=1)
+        D = h * grid
+        H0 = ref.hessian(center)
+        taylor = ref.value(center) + D @ ref.gradient(center) + 0.5 * np.einsum("ij,jk,ik->i", D, H0, D)
+        diff = model.value_at(center + D) - taylor
+        return float(np.sum(w * diff**2) * h**n)
 
-    def test_grid_rule_is_shared(self):
-        # the up-front check and the diagnostic itself refuse the same sizes
-        driver.check_diagnostic_grid(6)
-        with pytest.raises(ValueError, match="diagnostic grid too large"):
-            driver.check_diagnostic_grid(7)
-        model = QuadraticModel(center=np.zeros(7), c=0.0, g=np.zeros(7), H=np.zeros((7, 7)))
-        ref = TaylorReference(lambda x: 0.0, lambda x: np.zeros(7), lambda x: np.zeros((7, 7)))
-        with pytest.raises(ValueError, match="diagnostic grid too large"):
-            model_error_diagnostic(model, ref, np.zeros(7))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_gauss_legendre(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            center = rng.normal(size=n)
+            A, B = rng.normal(size=(2, n, n))
+            model = QuadraticModel(center + 0.3 * rng.normal(size=n), rng.normal(), rng.normal(size=n), A + A.T)
+            f0, g0, H0 = rng.normal(), rng.normal(size=n), B + B.T
+            ref = TaylorReference(lambda x: f0, lambda x: g0, lambda x: H0)
+            h = 10.0 ** rng.uniform(-4, 0)
+            expected = self.gauss_legendre(model, ref, center, h)
+            assert model_error_diagnostic(model, ref, center, h) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build, kind, mask, budget",
+        [
+            (lambda: get_problem("rosenbrock10"), ModelKind.HERMITE_LS, {1, 2, 3}, 120),
+            # hermite-ls bills no trial at n = 20 (ROADMAP direction 2)
+            (lambda: rosenbrock(20), ModelKind.BOBYQA, set(), 120),
+        ],
+    )
+    def test_diagnostic_runs_in_high_dimensions(self, build, kind, mask, budget):
+        problem = build()
+        spec = mask_availability(problem, mask)
+        config = SolverConfig(kind=kind, max_evaluations=budget, model_error_diagnostic=True)
+        result = run(spec, problem.x_start, config)
+        assert result.trace
+        assert all(np.isfinite(row.model_error) and row.model_error >= 0.0 for row in result.trace)
 
     def test_trace_carries_model_error(self):
         problem, spec = spec_for("rosenbrock2", mask=(2,))
@@ -446,6 +467,55 @@ class TestNonFiniteValues:
         assert result.f_best == f_best and np.isfinite(result.f_best)
         assert np.array_equal(result.x_best, calls[i_best]) and np.all(np.isfinite(result.x_best))
         assert result.evaluation_log[-1][1] == f_best
+
+
+class TestUnreadSecondOrder:
+    """Only hermite-ls with second order on reads second-order rows; every
+    other run leaves the declared pairs' oracle uncalled."""
+
+    @staticmethod
+    def counted_run(kind, second_order, pairs, bad_at=None):
+        """rosenbrock2 with direction 2 and ``pairs`` known; the second-order
+        oracle's ``bad_at``-th call returns NaN in its last entry."""
+        problem = get_problem("rosenbrock2")
+        spec = mask_availability(problem, {2}, pairs)
+        good, count = spec.second_derivative, [0]
+
+        def oracle(x):
+            count[0] += 1
+            entries = np.array(good(x), dtype=float)
+            if count[0] == bad_at:
+                entries[-1] = np.nan
+            return entries
+
+        spec = dataclasses.replace(spec, second_derivative=oracle)
+        config = SolverConfig(kind=kind, second_order=second_order, max_evaluations=150)
+        return run(spec, problem.x_start, config), count[0]
+
+    @staticmethod
+    def reads(kind, second_order):
+        return kind is ModelKind.HERMITE_LS and second_order
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_called_once_per_evaluation_exactly_when_read(self, kind, second_order):
+        result, calls = self.counted_run(kind, second_order, {(1, 2), (2, 2)})
+        assert result.reason is not TerminationReason.NONFINITE_VALUE
+        assert calls == (result.evaluations if self.reads(kind, second_order) else 0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("second_order", [False, True])
+    def test_nan_in_an_unread_entry_changes_nothing(self, kind, second_order):
+        result, calls = self.counted_run(kind, second_order, {(1, 2), (2, 2)}, bad_at=10)
+        if self.reads(kind, second_order):
+            assert result.reason is TerminationReason.NONFINITE_VALUE
+            assert result.evaluations == calls == 10
+        else:
+            # the run is the one without declared pairs
+            plain, _ = self.counted_run(kind, second_order, ())
+            assert calls == 0 and result.evaluations > 10
+            assert result.reason is plain.reason and result.evaluations == plain.evaluations
+            assert result.f_best == plain.f_best and result.evaluation_log == plain.evaluation_log
 
 
 def oracle_spec(which, at, exc):

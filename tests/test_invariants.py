@@ -3,8 +3,8 @@ derivative masks, model kinds and budgets.
 
 Every point an oracle sees lies in the box; the run bills at most its
 budget and logs one purpose per billed evaluation; each derivative
-oracle is called exactly once per billed evaluation when it has entries
-and never otherwise; equal seeds give identical runs.
+oracle is called exactly once per billed evaluation when the run reads
+its entries and never otherwise; equal seeds give identical runs.
 """
 
 import dataclasses
@@ -41,11 +41,14 @@ def cases(draw):
     x0 = lower + t * width  # on a face when t is 0 or 1
     kind = draw(st.sampled_from(list(ModelKind)))
     mask = draw(st.sets(st.integers(1, n)))
-    second_order = kind is ModelKind.HERMITE_LS and draw(st.booleans())
-    pairs = second_order_closure(mask) if second_order else ()
+    # pairs may be declared without being read: only hermite-ls with
+    # second order on reads them
+    pairs = second_order_closure(mask) if draw(st.booleans()) else ()
+    second_order = draw(st.booleans())
     noise = draw(st.sampled_from([0.0, 1e-2]))
     extra = draw(st.integers(0, 40))
-    return problem, Bounds(lower, upper), np.clip(x0, lower, upper), kind, mask, pairs, noise, extra
+    box = Bounds(lower, upper)
+    return problem, box, np.clip(x0, lower, upper), kind, mask, pairs, second_order, noise, extra
 
 
 def instrumented(problem, bounds, mask, pairs, noise, seed):
@@ -82,9 +85,9 @@ def signature(result):
 @settings(max_examples=60, deadline=None)
 @given(cases(), st.integers(0, 2**32 - 1))
 def test_run_invariants(case, seed):
-    problem, bounds, x0, kind, mask, pairs, noise, extra = case
+    problem, bounds, x0, kind, mask, pairs, second_order, noise, extra = case
     spec, counts = instrumented(problem, bounds, mask, pairs, noise, seed)
-    config = SolverConfig(kind=kind, second_order=bool(pairs))
+    config = SolverConfig(kind=kind, second_order=second_order)
     config.max_evaluations = resolved_point_count(spec, config) + extra
     result = run(spec, x0, config)
 
@@ -93,7 +96,8 @@ def test_run_invariants(case, seed):
     assert len(result.evaluation_log) == result.evaluations == counts["value"]
     assert {purpose for purpose, _ in result.evaluation_log} <= set(PURPOSES)
     assert counts["derivative"] == (result.evaluations if mask else 0)
-    assert counts["second_derivative"] == (result.evaluations if pairs else 0)
+    reads_pairs = pairs and kind is ModelKind.HERMITE_LS and second_order
+    assert counts["second_derivative"] == (result.evaluations if reads_pairs else 0)
     assert result.x_best is not None and bounds.contains(result.x_best)
     size = resolved_point_count(spec, config)
     assert all(row.replaced is None or 0 <= row.replaced < size for row in result.trace)
