@@ -17,7 +17,6 @@ from .driver import (
 from .models import (
     ModelKind,
     QuadraticModel,
-    WeightScheme,
     apply_scaling,
     apply_weighting,
     assemble_full_interp,
@@ -69,7 +68,6 @@ __all__ = [
     "TaylorReference",
     "TerminationReason",
     "TrainingSet",
-    "WeightScheme",
     "YieldProblem",
     "add_noise",
     "apply_scaling",

@@ -48,6 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="export the per-iteration trace of one run")
     _add_run_flags(p_trace)
+    # one run: each grid flag takes a single value, the kind defaulting to the first
+    p_trace.set_defaults(kinds=ALL_KINDS[:1])
     p_trace.add_argument(
         "--mask",
         default=None,
@@ -84,6 +86,9 @@ def _cmd_summarize(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    for flag in ("problems", "kinds", "kd", "seed"):
+        if len(getattr(args, flag)) > 1:
+            raise ValueError(f"trace exports one run: --{flag} takes one value")
     cases = registry()
     if args.problems[0] not in cases:
         raise UnknownProblem(f"unknown problem {args.problems[0]!r}")

@@ -15,6 +15,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .models import (
     HERMITE_KINDS,
     ModelKind,
     QuadraticModel,
-    WeightScheme,
     apply_scaling,
     apply_weighting,
     assemble_full_interp,
@@ -85,6 +86,8 @@ STALE_FACTOR = 8.0
 STEP_TINY = 1e-14
 # singular values below NULL_RTOL * s[0] span a system's null space
 NULL_RTOL = 1e-10
+# a poisedness estimate above this triggers a geometry step
+LAMBDA_THRESHOLD = 100.0
 
 
 @dataclass
@@ -97,9 +100,9 @@ class SolverConfig:
     max_evaluations: int = 500
     weighting: bool = False
     second_order: bool = False
-    lambda_threshold: float = 100.0
     model_error_diagnostic: bool = False
     diagnostic_halfwidth: float = 0.01
+    lambda_threshold: ClassVar[float] = LAMBDA_THRESHOLD  # read-only
 
     def __post_init__(self):
         if self.initial_radius is not None and self.initial_radius <= self.min_radius:
@@ -164,11 +167,14 @@ class RunResult:
 
 @dataclass
 class IterationState:
+    """``kind`` is the system the run assembles (``resolve_model``)."""
+
     iteration: int
     ts: TrainingSet
     radius: float
     h_prev: np.ndarray
     initial_radius: float
+    kind: ModelKind
 
 
 class Evaluator:
@@ -249,8 +255,6 @@ def default_point_count(
         return 2 * n + 1
     k_d = len(directions)
     pairs = tuple(pairs) if second_order else ()
-    if k_d == 0 and not pairs:
-        return q1  # no derivative rows: the driver runs full interpolation
     per_point = 1 + k_d + len(pairs)
     p1 = max(2 * n + 1 - k_d, math.ceil(q1 / per_point), 2)
     structural = 1 + _unreachable_columns(n, directions, pairs)
@@ -261,15 +265,23 @@ def default_point_count(
     return min(p1, q1)
 
 
-def resolved_point_count(spec: ObjectiveSpec, config: SolverConfig) -> int:
-    avail = spec.availability
-    return default_point_count(
-        config.kind,
-        spec.dimension,
-        avail.directions,
-        avail.pairs,
-        config.second_order,
-    )
+def resolve_model(spec: ObjectiveSpec, config: SolverConfig) -> tuple[ModelKind, int]:
+    """The system a run assembles and its training-set size.
+
+    Hermite least squares with no derivative rows is full interpolation,
+    and Hermite BOBYQA with no known direction is BOBYQA.  BOBYQA on
+    (n+1)(n+2)/2 points (its 2n+1 default at n = 1) leaves the Hessian no
+    freedom, so its min-Frobenius model is the interpolant.
+    """
+    avail, kind, n = spec.availability, config.kind, spec.dimension
+    if kind is ModelKind.HERMITE_LS and avail.k_d == 0 and not avail.pairs:
+        kind = ModelKind.FULL_INTERP
+    if kind is ModelKind.HERMITE_BOBYQA and avail.k_d == 0:
+        kind = ModelKind.BOBYQA
+    p1 = default_point_count(kind, n, avail.directions, avail.pairs, config.second_order)
+    if kind is ModelKind.BOBYQA and p1 == (n + 1) * (n + 2) // 2:
+        kind = ModelKind.FULL_INTERP
+    return kind, p1
 
 
 def predicted_decrease(f_old: float, m_old: float, m_new: float) -> float:
@@ -367,13 +379,29 @@ def initialize(
     config: SolverConfig,
     evaluator: Evaluator,
 ) -> IterationState:
+    """Resolve the run's model (once per run) and evaluate its initial set.
+
+    A fixed variable, a start outside the box or a budget below the
+    initial set raises before anything is evaluated.  The default initial
+    radius, 0.1 max(1, |x0|_inf), is capped at half the narrowest box
+    width, as BOBYQA requires of its initial radius.
+    """
     x0 = np.asarray(x0, dtype=float)
+    lower, upper = spec.bounds.lower, spec.bounds.upper
+    fixed = np.flatnonzero(lower == upper)
+    if fixed.size:
+        names = ", ".join(str(i + 1) for i in fixed)
+        raise ValueError(f"fixed variables are not supported: lower == upper at 1-based index {names}")
     if not spec.bounds.contains(x0):
         raise OutOfBounds("starting point violates bounds")
-    p1 = resolved_point_count(spec, config)
+    kind, p1 = resolve_model(spec, config)
+    if config.max_evaluations < p1:
+        raise ValueError(
+            f"budget {config.max_evaluations} cannot cover the {p1} initialization points"
+        )
     delta0 = config.initial_radius
     if delta0 is None:
-        delta0 = 0.1 * max(1.0, float(np.max(np.abs(x0))))
+        delta0 = min(0.1 * max(1.0, float(np.max(np.abs(x0)))), 0.5 * float(np.min(upper - lower)))
     known_axes = tuple(d - 1 for d in spec.availability.directions)
     records = [
         evaluator(p, "init")
@@ -386,28 +414,19 @@ def initialize(
         radius=delta0,
         h_prev=np.zeros((n, n)),
         initial_radius=delta0,
+        kind=kind,
     )
 
 
-def _assemble(ts: TrainingSet, spec: ObjectiveSpec, config: SolverConfig, state: IterationState):
-    avail = spec.availability
-    kind = config.kind
-    second = bool(avail.pairs)
-    if kind is ModelKind.HERMITE_LS and avail.k_d == 0 and not second:
-        kind = ModelKind.FULL_INTERP
-    if kind is ModelKind.HERMITE_BOBYQA and avail.k_d == 0:
-        kind = ModelKind.BOBYQA
-    n = ts.dimension
-    if kind is ModelKind.BOBYQA and ts.size == (n + 1) * (n + 2) // 2:
-        # q1 poised points leave the Hessian no freedom: the
-        # min-Frobenius model is the interpolant (the default set at n = 1)
-        kind = ModelKind.FULL_INTERP
+def _assemble(state: IterationState, spec: ObjectiveSpec):
+    """The unscaled system of the run's kind on the current set."""
+    ts, kind, avail = state.ts, state.kind, spec.availability
     if kind is ModelKind.FULL_INTERP:
         return assemble_full_interp(ts)
     if kind is ModelKind.BOBYQA:
         return assemble_min_frob(ts, state.h_prev)
     if kind is ModelKind.HERMITE_LS:
-        return assemble_hermite_ls(ts, avail, include_second_order=second)
+        return assemble_hermite_ls(ts, avail, include_second_order=bool(avail.pairs))
     return assemble_hermite_bobyqa(ts, avail, state.h_prev)
 
 
@@ -416,23 +435,21 @@ def _farthest_index(ts: TrainingSet) -> int:
     return int(np.argmax(d))
 
 
-def _repair_candidates(n: int, direction: np.ndarray):
-    """Repair directions: the least-covered direction of the point cloud
-    first, then diagonal pair directions, which fill the cross-term
-    columns a coordinate cross leaves empty."""
-    yield direction
-    yield -direction
-    root2 = math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            off = np.zeros(n)
-            off[i] = off[j] = 1.0 / root2
-            yield off
-            yield -off
-            flipped = off.copy()
-            flipped[j] = -flipped[j]
-            yield flipped
-            yield -flipped
+@lru_cache(maxsize=64)
+def _pair_directions(n: int) -> np.ndarray:
+    """Diagonal pair directions, which fill the cross-term columns a
+    coordinate cross leaves empty: for each pair i < j in order, e_i + e_j,
+    its negative, e_i - e_j and its negative, over sqrt(2).  Negated
+    zeros keep their sign.  Shared by every repair, so read-only."""
+    i, j = np.triu_indices(n, 1)
+    rows = np.arange(i.size)
+    off = np.zeros((i.size, n))
+    off[rows, i] = off[rows, j] = 1.0 / math.sqrt(2.0)
+    flipped = off.copy()
+    flipped[rows, j] = -off[rows, j]
+    table = np.stack([off, -off, flipped, -flipped], axis=1).reshape(-1, n)
+    table.flags.writeable = False
+    return table
 
 
 def _null_basis(sys) -> np.ndarray:
@@ -475,18 +492,21 @@ def _point_leverage(sys, point_count: int) -> np.ndarray:
     return totals[:point_count]
 
 
-def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
-    """Swap one point for a fresh geometry point near the incumbent.
+def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
+    """Swap one point of ``state.ts`` for a fresh geometry point near the
+    incumbent.
 
     A rank-deficient system has no Lagrange polynomials, so the repair
-    point comes from candidate directions instead of a polynomial
-    extremizer; the candidate whose rows best cover the system's null
-    space wins.  A stale set (points far outside the trust ball, which
-    wrecks the scaled system's conditioning) loses its farthest point;
-    otherwise the most redundant point goes, keeping the information the
-    set does have.  Returns the updated set and the replaced index, or
-    (ts, None) when no distinct feasible candidate exists.
+    point comes from candidate directions (the least-covered direction
+    of the point cloud, then ``_pair_directions``) instead of a
+    polynomial extremizer; for the regression kinds the candidate whose
+    rows best cover the system's null space wins.  A stale set (points
+    far outside the trust ball, which wrecks the scaled system's
+    conditioning) loses its farthest point; otherwise the most redundant
+    point goes.  Returns the replaced index, or None when no distinct
+    feasible candidate exists.
     """
+    ts, delta = state.ts, state.radius
     x_opt = ts.incumbent_record.point
     D = ts.points - x_opt
     _, _, Vt = np.linalg.svd(D, full_matrices=True)
@@ -497,22 +517,23 @@ def _repair_rank_deficiency(ts, spec, evaluator, delta, sys_scaled, skip=()):
         order = np.argsort(_point_leverage(sys_scaled, ts.size), kind="stable")
     target = next((int(i) for i in order if i != ts.incumbent_index and i not in skip), None)
     if target is None:
-        return ts, None
-    directions = np.array(list(_repair_candidates(ts.dimension, Vt[-1])))
+        return None
+    directions = np.vstack([Vt[-1], -Vt[-1], _pair_directions(ts.dimension)])
     for scale in (1.0, 0.5, 0.25):
         candidates = spec.bounds.clip(x_opt + scale * delta * directions)
         candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
         if len(candidates):
             break
     else:
-        return ts, None
-    if sys_scaled.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
+        return None
+    if state.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
         null = _null_basis(sys_scaled)
         scores = _null_space_scores(sys_scaled, null, candidates, delta)
         pick = candidates[int(np.argmax(scores))]
     else:
         pick = candidates[0]
-    return ts.replace(target, evaluator(pick, "repair")), target
+    state.ts = ts.replace(target, evaluator(pick, "repair"))
+    return target
 
 
 def model_error_diagnostic(
@@ -566,7 +587,7 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
     try:
         x_opt = state.ts.incumbent_record.point
         if sys_now is None:
-            sys_now = apply_scaling(_assemble(state.ts, spec, config, state), delta)
+            sys_now = apply_scaling(_assemble(state, spec), delta)
         family = lagrange_family(sys_now)
         far = _farthest_index(state.ts)
         far_dist = float(np.linalg.norm(state.ts.records[far].point - x_opt))
@@ -575,9 +596,9 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
         if not stale:
             lam_bound = float(np.max(column_bounds(family, region)))
             # written so that a NaN bound certifies nothing
-            if not lam_bound <= config.lambda_threshold:
+            if not lam_bound <= LAMBDA_THRESHOLD:
                 lam = estimate_lambda(family, region).lam
-        if stale or lam > config.lambda_threshold:
+        if stale or lam > LAMBDA_THRESHOLD:
             proposal = propose_geometry_point(family, far, region)
             if _is_distinct(proposal, state.ts.points):
                 state.ts = state.ts.replace(far, evaluator(proposal, "geometry"))
@@ -609,24 +630,17 @@ def step_iteration(
     repaired: set[int] = set()
     max_repairs = spec.dimension + 2
     for attempt in range(max_repairs + 1):
-        sys_scaled = apply_scaling(_assemble(state.ts, spec, config, state), delta)
+        sys_scaled = apply_scaling(_assemble(state, spec), delta)
         solvable = sys_scaled
-        if config.weighting and solvable.kind in HERMITE_KINDS:
-            solvable = apply_weighting(solvable, WeightScheme(), state.ts)
+        if config.weighting and state.kind in HERMITE_KINDS:
+            solvable = apply_weighting(solvable, state.ts)
         try:
             model = solve_system(solvable)
             break
         except RankDeficient:
             if attempt == max_repairs:
                 break
-            state.ts, target = _repair_rank_deficiency(
-                state.ts,
-                spec,
-                evaluator,
-                delta,
-                sys_scaled,
-                skip=repaired,
-            )
+            target = _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=repaired)
             if target is None:
                 break
             repaired.add(target)
@@ -634,7 +648,7 @@ def step_iteration(
         # geometry repair failed to restore rank; shrink and try again
         return _set_radius(state, GAMMA_DEC * delta, config)
 
-    if config.kind in FROBENIUS_KINDS:
+    if state.kind in FROBENIUS_KINDS:
         state.h_prev = model.H
     # the solve cached this factorization, so reading it costs nothing
     s = solvable.svd[1]
@@ -733,11 +747,6 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     if spec.availability.pairs and not (config.kind is ModelKind.HERMITE_LS and config.second_order):
         avail = dataclasses.replace(spec.availability, second_order=frozenset())
         spec = dataclasses.replace(spec, availability=avail)
-    p1 = resolved_point_count(spec, config)
-    if config.max_evaluations < p1:
-        raise ValueError(
-            f"budget {config.max_evaluations} cannot cover the {p1} initialization points"
-        )
     budget = EvaluationBudget(config.max_evaluations)
     evaluator = Evaluator(spec, budget)
     trace: list[TraceRow] = []

@@ -106,23 +106,19 @@ class QuadraticModel:
         return self.c + D @ self.g + 0.5 * np.einsum("ij,jk,ik->i", D, self.H, D)
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Exponential distance weighting for the regression rows.
+def distance_weights(ts: TrainingSet) -> np.ndarray:
+    """Exponential distance weights of the training points.
 
-    The weight of a training point at distance d from the incumbent is
-    ``exp(s - s*d/dmax) / exp(s)`` with dmax the largest distance in the
-    set, so the nearest point carries the largest weight.
+    The weight of a point at distance d from the incumbent is
+    ``exp(s - s*d/dmax) / exp(s)`` with ``s = WEIGHT_SCALE`` and dmax the
+    largest distance in the set, so the nearest point carries the
+    largest weight.
     """
-
-    scale: float = WEIGHT_SCALE
-
-    def weights(self, ts: TrainingSet) -> np.ndarray:
-        d = np.linalg.norm(ts.points - ts.incumbent_record.point, axis=1)
-        dmax = float(np.max(d))
-        if dmax == 0.0:
-            return np.ones(ts.size)
-        return np.exp(self.scale - self.scale * d / dmax) / np.exp(self.scale)
+    d = np.linalg.norm(ts.points - ts.incumbent_record.point, axis=1)
+    dmax = float(np.max(d))
+    if dmax == 0.0:
+        return np.ones(ts.size)
+    return np.exp(WEIGHT_SCALE - WEIGHT_SCALE * d / dmax) / np.exp(WEIGHT_SCALE)
 
 
 @dataclass(frozen=True)
@@ -429,15 +425,16 @@ def apply_scaling(sys: AssembledSystem, delta: float) -> AssembledSystem:
     )
 
 
-def apply_weighting(sys: AssembledSystem, scheme: WeightScheme, ts: TrainingSet) -> AssembledSystem:
+def apply_weighting(sys: AssembledSystem, ts: TrainingSet) -> AssembledSystem:
     """Multiply the rows of every weighted block (and their right-hand
-    sides) by their points' weights; other rows keep weight one.
+    sides) by their points' ``distance_weights``; other rows keep weight
+    one.
 
     Only the Hermite kinds have weighted blocks.
     """
     if not any(b.weighted for b in sys.blocks):
         raise KindMismatch(f"weighting does not apply to {sys.kind.value}")
-    w = scheme.weights(ts)
+    w = distance_weights(ts)
     row_w = np.concatenate([w[b.points] if b.weighted else np.ones(b.rows) for b in sys.blocks])
     return dc_replace(
         sys,

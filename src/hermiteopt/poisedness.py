@@ -65,6 +65,7 @@ from .models import (
 from .problem import Bounds
 
 LAMBDA_SAMPLE_CAP = 10_000
+# projected-ascent steps after the sample scan of an estimate or proposal
 POLISH_STEPS = 5
 # sample rows per matrix product; keeps the value block near 0.5 MB
 GEMM_BLOCK = 512
@@ -356,13 +357,12 @@ def lagrange_family(sys: AssembledSystem) -> LagrangeFamily:
     coeffs[:, count:] = coeff[:, sys.rows - derivative_rows :]
 
     # the incumbent polynomial is the complement, which reproduces
-    # constants; summed point by point in training order
+    # constants; summed point by point in value-row order, from zero, by
+    # one sequential accumulation (a reduction would sum pairwise)
     # the one index the value rows skip: 0 + 1 + ... + p less theirs
     incumbent = count * p // 2 - int(np.sum(value.points))
-    total = np.zeros(coeff.shape[0])
-    for i in value.points.tolist():
-        total = total + coeffs[:, i]
-    coeffs[:, incumbent] = -total
+    terms = np.hstack([np.zeros((coeff.shape[0], 1)), coeff[:, :p]])
+    coeffs[:, incumbent] = -np.add.accumulate(terms, axis=1)[:, -1]
     constants = np.zeros(coeffs.shape[1])
     constants[incumbent] = 1.0
     return LagrangeFamily(
@@ -408,13 +408,14 @@ def column_bounds(family: LagrangeFamily, region: Region) -> np.ndarray:
     return (np.abs(family.constants) + g_norm * rho + 0.5 * h_frob * rho * rho) * (1 + BOUND_RTOL)
 
 
-def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region, steps: int) -> tuple[np.ndarray, float]:
-    """Projected ascent on |poly| from a seed point; deterministic."""
+def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region) -> tuple[np.ndarray, float]:
+    """``POLISH_STEPS`` steps of projected ascent on |poly| from a seed
+    point; deterministic."""
     x = np.array(x0, dtype=float)
     cur = poly.value(x)
     best = abs(cur)
     step = region.radius / 4.0
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         grad = poly.gradient(x)
         sign = 1.0 if cur >= 0 else -1.0
         norm = math.sqrt(float(grad.dot(grad)))
@@ -435,13 +436,9 @@ def _contenders(screened: np.ndarray) -> np.ndarray:
     return np.flatnonzero(screened >= top - TIE_RTOL * top)
 
 
-def estimate_lambda(
-    family: LagrangeFamily,
-    region: Region,
-    per_axis: int | None = None,
-    polish_steps: int = POLISH_STEPS,
-) -> PoisednessEstimate:
-    """Grid lower bound on the poisedness constant over the region.
+def estimate_lambda(family: LagrangeFamily, region: Region) -> PoisednessEstimate:
+    """Lower bound on the poisedness constant over the region, from its
+    default sample and ``POLISH_STEPS`` steps of polish.
 
     The largest |value| of each column comes from blocked matrix
     products; the columns near the overall maximum are then evaluated
@@ -457,7 +454,7 @@ def estimate_lambda(
     is at least about one over their count, far from underflow.  A NaN
     bound or best value drops nothing.
     """
-    pts = region.sample(per_axis)
+    pts = region.sample()
     block = family.values(pts[:GEMM_BLOCK])
     screened = np.max(np.abs(block, out=block), axis=0)
     if len(pts) > GEMM_BLOCK:
@@ -479,8 +476,8 @@ def estimate_lambda(
         if vals[k] > lam:
             lam = float(vals[k])
             best_poly, best_pt = poly, pts[k]
-    if polish_steps and best_poly is not None:
-        _, val = _polish_abs(best_poly, best_pt, region, polish_steps)
+    if best_poly is not None:
+        _, val = _polish_abs(best_poly, best_pt, region)
         lam = max(lam, val)
     return PoisednessEstimate(lam=lam)
 
@@ -498,18 +495,13 @@ def select_outgoing(family: LagrangeFamily, y_add: np.ndarray) -> int:
     return int(np.argmax(vals))
 
 
-def propose_geometry_point(
-    family: LagrangeFamily,
-    index: int,
-    region: Region,
-    per_axis: int | None = None,
-    polish_steps: int = POLISH_STEPS,
-) -> np.ndarray:
-    """Point extremizing |l_index| over the region (grid seed plus ascent)."""
+def propose_geometry_point(family: LagrangeFamily, index: int, region: Region) -> np.ndarray:
+    """Point extremizing |l_index| over the region (seed from the default
+    sample, then ``POLISH_STEPS`` steps of ascent)."""
     poly = family.polynomial(index)
-    pts = region.sample(per_axis)
+    pts = region.sample()
     seed = pts[_first_argmax_abs(poly, pts)]
-    x, _ = _polish_abs(poly, seed, region, polish_steps)
+    x, _ = _polish_abs(poly, seed, region)
     return region.project(x)
 
 

@@ -22,6 +22,9 @@ import numpy as np
 from .models import QuadraticModel
 from .problem import Bounds
 
+CG_ROUNDS = 4  # conjugate-gradient restarts, each re-pinning the active bounds
+BOUNDARY_POLISH_TRIES = 25  # tries of the tangential boundary polish
+
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
@@ -107,11 +110,11 @@ def _max_feasible_step(s, d, delta, step_lo, step_hi) -> tuple[float, bool]:
     return tau_box, False
 
 
-def _cg_refine(g, H, delta, step_lo, step_hi, s0, rounds: int = 4) -> np.ndarray:
+def _cg_refine(g, H, delta, step_lo, step_hi, s0) -> np.ndarray:
     n = g.size
     s = np.array(s0, dtype=float)
     gnorm = max(1.0, _norm(g))
-    for _ in range(rounds):
+    for _ in range(CG_ROUNDS):
         grad_s = g + H.dot(s)
         atol = 1e-11 * np.maximum(1.0, np.abs(s))
         pinned = ((s <= step_lo + atol) & (grad_s > 0)) | (
@@ -154,7 +157,7 @@ def _cg_refine(g, H, delta, step_lo, step_hi, s0, rounds: int = 4) -> np.ndarray
     return s
 
 
-def _boundary_polish(g, H, delta, step_lo, step_hi, s, iters: int = 25) -> np.ndarray:
+def _boundary_polish(g, H, delta, step_lo, step_hi, s) -> np.ndarray:
     """Tangential descent along the ball boundary; truncated conjugate
     gradients stop at the first boundary hit, which can sit well away
     from the constrained minimizer.
@@ -170,7 +173,7 @@ def _boundary_polish(g, H, delta, step_lo, step_hi, s, iters: int = 25) -> np.nd
     q_cur = q(cur)
     rel_step = 0.5
     moved = True
-    for _ in range(iters):
+    for _ in range(BOUNDARY_POLISH_TRIES):
         if moved:
             norm = _norm(cur)
             if norm < 1e-15:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -305,9 +306,57 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and all(np.isfinite(float(r["model_error"])) for r in rows)
 
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--problems", ["rosenbrock2", "sphere2"]),
+            ("--kinds", ["hermite-ls", "bobyqa"]),
+            ("--kd", ["1", "2"]),
+            ("--seed", ["0", "1"]),
+        ],
+    )
+    def test_trace_rejects_more_than_one_value(self, tmp_path, capsys, flag, values):
+        argv = {"--problems": ["rosenbrock2"], "--kinds": ["hermite-ls"], "--kd": ["1"], "--seed": ["0"]}
+        argv[flag] = values
+        out = tmp_path / "trace.csv"
+        args = ["trace", *(x for k, v in argv.items() for x in (k, *v)), "--budget", "40", "--out", str(out)]
+        assert main(args) == 1
+        assert f"{flag} takes one value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_kind_defaults_to_one(self, tmp_path):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--problems", "sphere2", "--budget", "30", "--out", str(out)]) == 0
+        assert out.exists()
+
     def test_unknown_problem_exit_code(self, tmp_path, capsys):
         code = main(
             ["run", "--problems", "missing", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestPinnedDigests:
+    """SHA-256 of two results CSVs with weighted rows, which no perfbench
+    workload runs.  The solver's results must not move by a bit; the
+    digests depend on the numpy and BLAS build, as perfbench's do."""
+
+    PLANS = [
+        (
+            "--problems rosenbrock2 zakharov3 yield-lownoise --kinds hermite-ls hermite-bobyqa "
+            "--kd 1 2 --noise low --seed 0 --budget 200 --weighting",
+            "29f7bf4bb75271a6260b0179d93aac654cae957ef7a6843349cf20dccdc43a8b",
+        ),
+        (
+            "--problems rosenbrock2 zakharov3 trid4 --kinds hermite-ls "
+            "--kd 1 2 --seed 0 --budget 200 --second-order --weighting",
+            "b57d7451ca7a7f35ab293e02156d828e586be081059aa1bdae876488e7b3f402",
+        ),
+    ]
+
+    @pytest.mark.parametrize("flags, digest", PLANS)
+    def test_weighted_plan_digest(self, tmp_path, flags, digest):
+        out = tmp_path / "results.csv"
+        assert main(["run", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

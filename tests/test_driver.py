@@ -24,7 +24,7 @@ from hermiteopt.driver import (
     initialize,
     model_error_diagnostic,
     predicted_decrease,
-    resolved_point_count,
+    resolve_model,
     run,
 )
 from hermiteopt.exceptions import BudgetExhausted, DegenerateModelDecrease, OutOfBounds
@@ -96,6 +96,37 @@ class TestInitialization:
                 SolverConfig(),
                 Evaluator(spec, EvaluationBudget(10)),
             )
+
+    NARROW = Bounds(np.array([5.0, 0.0]), np.array([13.0, 0.5]))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_default_radius_fits_the_narrowest_width(self, kind):
+        # 0.1 max(1, |x0|_inf) = 0.9 is capped at half of the 0.5 width, so
+        # every coordinate step of the initial set is a plain +-0.25 step
+        problem = rosenbrock(2)
+        spec = dataclasses.replace(mask_availability(problem, {1}), bounds=self.NARROW)
+        x0 = np.array([9.0, 0.25])
+        config = SolverConfig(kind=kind, max_evaluations=60)
+        state = initialize(spec, x0, config, Evaluator(spec, EvaluationBudget(60)))
+        assert state.radius == state.initial_radius == 0.25
+        cross = {tuple(x0)} | {tuple(x0 + 0.25 * sign * e) for e in np.eye(2) for sign in (1, -1)}
+        head = {tuple(p) for p in state.ts.points[:5]}
+        assert len(head) == min(5, state.ts.size) and head <= cross
+        result = run(spec, x0, config)
+        assert result.reason is not TerminationReason.ORACLE_ERROR
+        assert self.NARROW.contains(result.x_best) and result.f_best < problem.value(x0)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_fixed_variable_rejected_before_any_evaluation(self, kind):
+        problem = rosenbrock(3)
+        calls = []
+        box = Bounds(np.array([-2.0, 0.5, -2.0]), np.array([2.0, 0.5, 2.0]))
+        spec = dataclasses.replace(
+            mask_availability(problem, {1}), bounds=box, value=lambda x: calls.append(x) or problem.value(x)
+        )
+        with pytest.raises(ValueError, match="lower == upper at 1-based index 2$"):
+            run(spec, np.array([0.0, 0.5, 0.0]), SolverConfig(kind=kind))
+        assert calls == []
 
 
 class TestPredictedDecrease:
@@ -333,7 +364,7 @@ class TestEvaluationPurposes:
         assert len(log) == result.evaluations
         purposes = [purpose for purpose, _ in log]
         assert set(purposes) <= set(PURPOSES)
-        init = resolved_point_count(spec, config)
+        init = resolve_model(spec, config)[1]
         assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
         best = [value for _, value in log]
         assert all(b <= a for a, b in zip(best, best[1:]))
@@ -392,7 +423,7 @@ class TestNonFiniteValues:
     def test_run_stops_with_the_best_finite_point(self, kind, bad, at):
         problem, spec, calls = self.poisoned(bad, at)
         config = SolverConfig(kind=kind, max_evaluations=100)
-        assert resolved_point_count(spec, config) > 3
+        assert resolve_model(spec, config)[1] > 3
         result = run(spec, problem.x_start, config)
         assert result.reason is TerminationReason.NONFINITE_VALUE
         # the bad value is billed and logged, and nothing is evaluated after it
@@ -404,7 +435,7 @@ class TestNonFiniteValues:
         assert all(np.isfinite(best)) and best[-1] == f_best
         assert all(b <= a for a, b in zip(best, best[1:]))
         purposes = [purpose for purpose, _ in result.evaluation_log]
-        init = min(at, resolved_point_count(spec, config))
+        init = min(at, resolve_model(spec, config)[1])
         assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
         assert all(row.evaluations < at for row in result.trace)
 
@@ -561,7 +592,7 @@ class TestOracleErrors:
         assert np.array_equal(result.x_best, calls[i_best])
         assert result.evaluation_log[-1][1] == f_best
         purposes = [purpose for purpose, _ in result.evaluation_log]
-        init = min(at, resolved_point_count(spec, config))
+        init = min(at, resolve_model(spec, config)[1])
         assert purposes[:init] == ["init"] * init and "init" not in purposes[init:]
         assert all(row.evaluations < at for row in result.trace)
 
@@ -793,10 +824,49 @@ class TestRankRepairScores:
             assert _null_space_scores(sys, null, candidates, delta) == expected
 
 
+def reference_repair_candidates(n: int, direction: np.ndarray):
+    """The rank repair's candidate directions as a generator built them."""
+    yield direction
+    yield -direction
+    root2 = np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            off = np.zeros(n)
+            off[i] = off[j] = 1.0 / root2
+            yield off
+            yield -off
+            flipped = off.copy()
+            flipped[j] = -flipped[j]
+            yield flipped
+            yield -flipped
+
+
+class TestRepairDirections:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_table_equals_the_generator_bit_for_bit(self, n):
+        direction = np.random.default_rng(n).normal(size=n)
+        direction[0] = 0.0  # a zero entry keeps its sign under negation
+        expected = np.array(list(reference_repair_candidates(n, direction)))
+        stacked = np.vstack([direction, -direction, driver._pair_directions(n)])
+        assert stacked.shape == expected.shape == (2 + 2 * n * (n - 1), n)
+        assert stacked.tobytes() == expected.tobytes()
+
+    def test_table_is_built_once_per_dimension_and_read_only(self):
+        table = driver._pair_directions(7)
+        assert driver._pair_directions(7) is table
+        assert not table.flags.writeable
+
+
 class TestConfigValidation:
     def test_radius_ordering(self):
         with pytest.raises(ValueError):
             SolverConfig(initial_radius=1e-9, min_radius=1e-8)
+
+    def test_lambda_threshold_is_a_constant(self):
+        assert len(dataclasses.fields(SolverConfig)) == 8
+        assert SolverConfig().lambda_threshold == SolverConfig.lambda_threshold == driver.LAMBDA_THRESHOLD == 100.0
+        with pytest.raises(TypeError):
+            SolverConfig(lambda_threshold=1.0)
 
 
 def test_default_point_counts_match_formulas():

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteopt.driver import PURPOSES, ModelKind, SolverConfig, resolved_point_count, run
+from hermiteopt.driver import PURPOSES, ModelKind, SolverConfig, resolve_model, run
 from hermiteopt.problem import Bounds
 from hermiteopt.testbed import (
     add_noise,
@@ -33,9 +33,9 @@ def cases(draw):
     n = draw(st.integers(2, 4))
     problem = draw(st.sampled_from(BUILDERS))(n)
     lower = np.array(draw(st.lists(st.floats(-3.0, 1.0), min_size=n, max_size=n)))
-    # widths of at least 1 leave room for the initial set, whose radius
-    # is at most 0.5 here (narrower boxes are ROADMAP direction 4's open item)
-    width = np.array(draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n)))
+    # widths from 1e-3 to 4, log-uniform; the default initial radius is
+    # capped at half the narrowest one, so the initial set always fits
+    width = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 0.6), min_size=n, max_size=n)))
     upper = lower + width
     t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     x0 = lower + t * width  # on a face when t is 0 or 1
@@ -88,7 +88,7 @@ def test_run_invariants(case, seed):
     problem, bounds, x0, kind, mask, pairs, second_order, noise, extra = case
     spec, counts = instrumented(problem, bounds, mask, pairs, noise, seed)
     config = SolverConfig(kind=kind, second_order=second_order)
-    config.max_evaluations = resolved_point_count(spec, config) + extra
+    config.max_evaluations = resolve_model(spec, config)[1] + extra
     result = run(spec, x0, config)
 
     assert result.error is None
@@ -99,7 +99,7 @@ def test_run_invariants(case, seed):
     reads_pairs = pairs and kind is ModelKind.HERMITE_LS and second_order
     assert counts["second_derivative"] == (result.evaluations if reads_pairs else 0)
     assert result.x_best is not None and bounds.contains(result.x_best)
-    size = resolved_point_count(spec, config)
+    size = resolve_model(spec, config)[1]
     assert all(row.replaced is None or 0 <= row.replaced < size for row in result.trace)
 
     again, _ = instrumented(problem, bounds, mask, pairs, noise, seed)

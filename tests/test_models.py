@@ -11,14 +11,15 @@ from hermiteopt.exceptions import (
 )
 from hermiteopt.models import (
     ModelKind,
+    WEIGHT_SCALE,
     QuadraticModel,
-    WeightScheme,
     apply_scaling,
     apply_weighting,
     assemble_full_interp,
     assemble_hermite_bobyqa,
     assemble_hermite_ls,
     assemble_min_frob,
+    distance_weights,
     solve_system,
 )
 from hermiteopt.driver import default_point_count
@@ -316,13 +317,13 @@ class TestWeighting:
         rng = np.random.default_rng(28)
         ts, _ = quad_set(2, 6, rng)
         with pytest.raises(KindMismatch):
-            apply_weighting(assemble_full_interp(ts), WeightScheme(), ts)
+            apply_weighting(assemble_full_interp(ts), ts)
 
     def test_weight_values(self):
         rng = np.random.default_rng(29)
         ts, _ = quad_set(2, 4, rng, directions=(1,))
-        scheme = WeightScheme(scale=5.0)
-        w = scheme.weights(ts)
+        assert WEIGHT_SCALE == 5.0
+        w = distance_weights(ts)
         assert w[ts.incumbent_index] == pytest.approx(1.0)
         d = np.linalg.norm(ts.points - ts.incumbent_record.point, axis=1)
         assert w[np.argmax(d)] == pytest.approx(np.exp(-5.0), rel=1e-12)
@@ -336,7 +337,7 @@ class TestWeighting:
             pts, lambda x: float(x @ x), lambda x: 2 * np.asarray(x), (1,)
         )
         assert ts.incumbent_index == 0
-        w = WeightScheme(scale=5.0).weights(ts)
+        w = distance_weights(ts)
         assert np.allclose(w[1:], np.exp(-5.0))
         assert w[0] == pytest.approx(1.0)
 
@@ -344,7 +345,7 @@ class TestWeighting:
         rng = np.random.default_rng(30)
         ts, _ = quad_set(2, 5, rng, directions=(1,))
         sys = assemble_hermite_bobyqa(ts, availability((1,)), np.zeros((2, 2)))
-        weighted = apply_weighting(sys, WeightScheme(scale=5.0), ts)
+        weighted = apply_weighting(sys, ts)
         p_n = 4 + 2
         assert np.array_equal(weighted.matrix[:p_n], sys.matrix[:p_n])
         assert not np.array_equal(weighted.matrix[p_n:], sys.matrix[p_n:])
@@ -398,45 +399,50 @@ class TestSolve:
 
 
 class TestKindEquivalence:
-    def test_hermite_ls_with_no_derivatives_routes_to_full_interp(self):
-        from hermiteopt.driver import SolverConfig, _assemble, IterationState
+    """``resolve_model`` picks the system a run assembles, and ``_assemble``
+    builds exactly that system."""
 
-        rng = np.random.default_rng(34)
-        ts, _ = quad_set(2, 6, rng)
-        state = IterationState(0, ts, 0.1, np.zeros((2, 2)), 0.1)
+    @staticmethod
+    def resolved_system(kind, ts, h_prev):
+        from hermiteopt.driver import IterationState, SolverConfig, _assemble, resolve_model
         from hermiteopt.problem import Bounds, ObjectiveSpec
 
         spec = ObjectiveSpec(
-            dimension=2,
+            dimension=ts.dimension,
             value=lambda x: 0.0,
-            bounds=Bounds.unbounded(2),
+            bounds=Bounds.unbounded(ts.dimension),
             availability=availability(),
         )
-        cfg = SolverConfig(kind=ModelKind.HERMITE_LS)
-        sys = _assemble(ts, spec, cfg, state)
+        resolved, count = resolve_model(spec, SolverConfig(kind=kind))
+        assert count == ts.size
+        return _assemble(IterationState(0, ts, 0.1, h_prev, 0.1, resolved), spec)
+
+    def test_hermite_ls_with_no_derivatives_routes_to_full_interp(self):
+        rng = np.random.default_rng(34)
+        ts, _ = quad_set(2, 6, rng)
+        sys = self.resolved_system(ModelKind.HERMITE_LS, ts, np.zeros((2, 2)))
         ref = assemble_full_interp(ts)
         assert sys.kind is ModelKind.FULL_INTERP
         assert np.array_equal(sys.matrix, ref.matrix)
         assert np.array_equal(sys.rhs, ref.rhs)
 
     def test_hermite_bobyqa_with_no_derivatives_routes_to_min_frob(self):
-        from hermiteopt.driver import SolverConfig, _assemble, IterationState
-        from hermiteopt.problem import Bounds, ObjectiveSpec
-
         rng = np.random.default_rng(35)
         ts, _ = quad_set(2, 5, rng)
         h_prev = np.zeros((2, 2))
-        state = IterationState(0, ts, 0.1, h_prev, 0.1)
-        spec = ObjectiveSpec(
-            dimension=2,
-            value=lambda x: 0.0,
-            bounds=Bounds.unbounded(2),
-            availability=availability(),
-        )
-        cfg = SolverConfig(kind=ModelKind.HERMITE_BOBYQA)
-        sys = _assemble(ts, spec, cfg, state)
+        sys = self.resolved_system(ModelKind.HERMITE_BOBYQA, ts, h_prev)
         ref = assemble_min_frob(ts, h_prev)
         assert sys.kind is ModelKind.BOBYQA
+        assert np.array_equal(sys.matrix, ref.matrix)
+        assert np.array_equal(sys.rhs, ref.rhs)
+
+    @pytest.mark.parametrize("kind", [ModelKind.BOBYQA, ModelKind.HERMITE_BOBYQA])
+    def test_min_frob_on_q1_points_routes_to_full_interp(self, kind):
+        # at n = 1 the 2n+1 default set is the full quadratic count
+        ts = build_training_set([[0.0], [0.5], [-0.25]], lambda x: float(x @ x))
+        sys = self.resolved_system(kind, ts, np.zeros((1, 1)))
+        ref = assemble_full_interp(ts)
+        assert sys.kind is ModelKind.FULL_INTERP
         assert np.array_equal(sys.matrix, ref.matrix)
         assert np.array_equal(sys.rhs, ref.rhs)
 

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from hermiteopt.models import (
     solve_raw,
 )
 from hermiteopt.driver import default_point_count
+from hermiteopt import poisedness
 from hermiteopt.models import ModelKind
 from hermiteopt.poisedness import (
     BALL_BLOCK,
     GEMM_BLOCK,
+    LAMBDA_SAMPLE_CAP,
     SUM_IN_ORDER,
     LagrangeFamily,
     PoisednessEstimate,
@@ -39,6 +43,23 @@ from hermiteopt.poisedness import (
     theorem1_check,
 )
 from hermiteopt.problem import Bounds
+
+
+@dataclass(frozen=True)
+class GridRegion(Region):
+    """A region whose default sample is a ``per_axis`` grid, so that the
+    estimate and the proposal scan a grid of the test's choosing."""
+
+    per_axis: int = 5
+
+    def sample(self, per_axis=None, cap=LAMBDA_SAMPLE_CAP):
+        return super().sample(self.per_axis if per_axis is None else per_axis, cap)
+
+
+@pytest.fixture
+def no_polish(monkeypatch):
+    """Estimates and proposals without the polish: the bare sample maximum."""
+    monkeypatch.setattr(poisedness, "POLISH_STEPS", 0)
 
 
 def full_interp_family(n, rng, count=None):
@@ -105,15 +126,15 @@ class TestLagrange1D:
         oracle = max(np.max(np.abs(f(grid))) for f in (l0, l1, l2))
         assert oracle == pytest.approx(1.0, abs=1e-12)
 
-        region = Region(np.array([1.0]), 1.0, Bounds(np.array([0.0]), np.array([2.0])))
-        est = estimate_lambda(self.family, region, per_axis=81)
+        region = GridRegion(np.array([1.0]), 1.0, Bounds(np.array([0.0]), np.array([2.0])), 81)
+        est = estimate_lambda(self.family, region)
         assert est.lam == pytest.approx(oracle, abs=1e-6)
 
-    def test_grid_refinement_monotone(self):
-        region = Region(np.array([1.0]), 1.0, Bounds(np.array([0.0]), np.array([2.0])))
-        coarse = estimate_lambda(self.family, region, per_axis=5, polish_steps=0)
-        fine = estimate_lambda(self.family, region, per_axis=9, polish_steps=0)
-        finer = estimate_lambda(self.family, region, per_axis=17, polish_steps=0)
+    def test_grid_refinement_monotone(self, no_polish):
+        bounds = Bounds(np.array([0.0]), np.array([2.0]))
+        coarse, fine, finer = (
+            estimate_lambda(self.family, GridRegion(np.array([1.0]), 1.0, bounds, k)) for k in (5, 9, 17)
+        )
         assert coarse.lam <= fine.lam + 1e-15
         assert fine.lam <= finer.lam + 1e-15
 
@@ -173,8 +194,8 @@ class TestProposeGeometry:
             constants=np.zeros(1),
             incumbent_index=1,
         )
-        region = Region(center, 1.0, Bounds.unbounded(2))
-        proposal = propose_geometry_point(family, 0, region, per_axis=21)
+        region = GridRegion(center, 1.0, Bounds.unbounded(2), 21)
+        proposal = propose_geometry_point(family, 0, region)
         assert abs(proposal[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_proposal_feasible(self):
@@ -191,12 +212,14 @@ class TestProposeGeometry:
             proposal = propose_geometry_point(family, i, region)
             assert region.contains(proposal, tol=1e-12)
 
-    def test_improvement_sweep_does_not_worsen_lambda(self):
+    def test_improvement_sweep_does_not_worsen_lambda(self, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(10):
             ts, family = full_interp_family(2, rng)
-            region = Region(ts.incumbent_record.point, 1.0, Bounds.unbounded(2))
-            before = estimate_lambda(family, region, per_axis=15, polish_steps=0)
+            region = GridRegion(ts.incumbent_record.point, 1.0, Bounds.unbounded(2), 15)
+            with monkeypatch.context() as m:
+                m.setattr(poisedness, "POLISH_STEPS", 0)
+                before = estimate_lambda(family, region)
             # replace the worst non-incumbent polynomial by its extremizer
             grid = region.sample(15)
             worst, worst_val = None, -1.0
@@ -206,7 +229,7 @@ class TestProposeGeometry:
                 val = float(np.max(np.abs(poly.value_at(grid))))
                 if val > worst_val:
                     worst, worst_val = i, val
-            proposal = propose_geometry_point(family, worst, region, per_axis=15)
+            proposal = propose_geometry_point(family, worst, region)
             try:
                 ts2 = ts.replace(worst, ts.records[worst].__class__(
                     point=proposal, value=float(proposal @ proposal)
@@ -214,7 +237,9 @@ class TestProposeGeometry:
             except Exception:
                 continue
             family2 = lagrange_family(assemble_full_interp(ts2))
-            after = estimate_lambda(family2, region, per_axis=15, polish_steps=0)
+            with monkeypatch.context() as m:
+                m.setattr(poisedness, "POLISH_STEPS", 0)
+                after = estimate_lambda(family2, region)
             assert after.lam <= before.lam + 1e-6
 
     @staticmethod
@@ -241,7 +266,8 @@ class TestProposeGeometry:
         return x, best
 
     @pytest.mark.parametrize("n", [2, 5, 10])
-    def test_polish_matches_reference(self, n):
+    def test_polish_matches_reference(self, n, monkeypatch):
+        monkeypatch.setattr(poisedness, "POLISH_STEPS", 8)
         rng = np.random.default_rng(60 + n)
         for k in range(40):
             c, g, H, _, _ = random_quadratic(n, rng)
@@ -259,7 +285,7 @@ class TestProposeGeometry:
                 c, g, peak = 1e-3, np.zeros(n), x0 + 1e-3 * radius * rng.normal(size=n)
                 H = -(np.eye(n) + H @ H.T) / radius**2
             poly = QuadraticModel(center=peak, c=c, g=g, H=H)
-            x, best = _polish_abs(poly, x0, region, 8)
+            x, best = _polish_abs(poly, x0, region)
             ref_x, ref_best = self.reference_polish(poly, x0, region, 8)
             assert np.array_equal(x, ref_x) and best == ref_best
 
@@ -415,19 +441,20 @@ class TestExactTies:
 
     @pytest.mark.parametrize("points, directions, delta, radius", CASES)
     @pytest.mark.parametrize("per_axis", [5, 9, 21])
-    def test_estimate_lambda_matches_brute_force(self, points, directions, delta, radius, per_axis):
+    def test_estimate_lambda_matches_brute_force(self, points, directions, delta, radius, per_axis, monkeypatch):
         family = symmetric_family(points, directions, delta)
-        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
-        pts = region.sample(per_axis)
+        region = GridRegion(np.zeros(2), radius, Bounds.unbounded(2), per_axis)
+        pts = region.sample()
         lam, best = 0.0, None
         for poly in all_polys(family):
             vals = np.abs(poly.value_at(pts))
             k = int(np.argmax(vals))
             if vals[k] > lam:
                 lam, best = float(vals[k]), (poly, pts[k])
-        assert estimate_lambda(family, region, per_axis, polish_steps=0).lam == lam
-        polished = max(lam, _polish_abs(best[0], best[1], region, 5)[1])
-        assert estimate_lambda(family, region, per_axis).lam == polished
+        polished = max(lam, _polish_abs(best[0], best[1], region)[1])
+        assert estimate_lambda(family, region).lam == polished
+        monkeypatch.setattr(poisedness, "POLISH_STEPS", 0)
+        assert estimate_lambda(family, region).lam == lam
 
     @pytest.mark.parametrize("points, directions, delta, radius", CASES)
     def test_select_outgoing_matches_brute_force(self, points, directions, delta, radius):
@@ -441,12 +468,12 @@ class TestExactTies:
     @pytest.mark.parametrize("per_axis", [9, 21])
     def test_proposal_matches_brute_force(self, points, directions, delta, radius, per_axis):
         family = symmetric_family(points, directions, delta)
-        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
-        pts = region.sample(per_axis)
+        region = GridRegion(np.zeros(2), radius, Bounds.unbounded(2), per_axis)
+        pts = region.sample()
         for index, poly in enumerate(family.point_polys):
             seed = pts[int(np.argmax(np.abs(poly.value_at(pts))))]
-            expected = region.project(_polish_abs(poly, seed, region, 5)[0])
-            proposal = propose_geometry_point(family, index, region, per_axis)
+            expected = region.project(_polish_abs(poly, seed, region)[0])
+            proposal = propose_geometry_point(family, index, region)
             assert np.array_equal(proposal, expected)
 
     @staticmethod
@@ -520,7 +547,7 @@ class TestExactTies:
         for index in range(0, 40, 7):
             poly = family.polynomial(index)
             seed = pts[int(np.argmax(np.abs(poly.value_at(pts))))]
-            expected.append(region.project(_polish_abs(poly, seed, region, 5)[0]))
+            expected.append(region.project(_polish_abs(poly, seed, region)[0]))
 
         def refuse(poly, points):
             raise AssertionError("value_at called")
@@ -817,10 +844,10 @@ class TestTheorem1:
             theorem1_check(M, M[::-1], self.grid(2, np.zeros(2), 1.0, basis))
 
 
-def reference_estimate_lambda(family, region, per_axis=None, polish_steps=5):
+def reference_estimate_lambda(family, region):
     """``estimate_lambda`` as it was before its screen was pruned: every
     column over every row."""
-    pts = region.sample(per_axis)
+    pts = region.sample()
     screened = np.zeros(family.coeffs.shape[1])
     for start in range(0, len(pts), GEMM_BLOCK):
         block = family.values(pts[start : start + GEMM_BLOCK])
@@ -836,8 +863,8 @@ def reference_estimate_lambda(family, region, per_axis=None, polish_steps=5):
         if vals[k] > lam:
             lam = float(vals[k])
             best_poly, best_pt = poly, pts[k]
-    if polish_steps and best_poly is not None:
-        _, val = _polish_abs(best_poly, best_pt, region, polish_steps)
+    if best_poly is not None:
+        _, val = _polish_abs(best_poly, best_pt, region)
         lam = max(lam, val)
     return PoisednessEstimate(lam=lam)
 
@@ -948,13 +975,14 @@ class TestPrunedScreen:
 
     @pytest.mark.parametrize("points, directions, delta, radius", TestExactTies.CASES)
     @pytest.mark.parametrize("per_axis", [41, 61])
-    def test_symmetric_sets(self, points, directions, delta, radius, per_axis):
+    def test_symmetric_sets(self, points, directions, delta, radius, per_axis, monkeypatch):
         family = symmetric_family(points, directions, delta)
-        region = Region(np.zeros(2), radius, Bounds.unbounded(2))
-        assert len(region.sample(per_axis)) > GEMM_BLOCK
-        for steps in (0, 5):
-            expected = reference_estimate_lambda(family, region, per_axis, steps).lam
-            assert estimate_lambda(family, region, per_axis, steps).lam == expected
+        region = GridRegion(np.zeros(2), radius, Bounds.unbounded(2), per_axis)
+        assert len(region.sample()) > GEMM_BLOCK
+        for steps in (0, poisedness.POLISH_STEPS):
+            monkeypatch.setattr(poisedness, "POLISH_STEPS", steps)
+            expected = reference_estimate_lambda(family, region).lam
+            assert estimate_lambda(family, region).lam == expected
 
     def test_kinds_on_grid_and_ball_samples(self):
         rng = np.random.default_rng(120)

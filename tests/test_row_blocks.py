@@ -21,13 +21,13 @@ from hermiteopt.models import (
     FROBENIUS_KINDS,
     HERMITE_KINDS,
     ModelKind,
-    WeightScheme,
     apply_scaling,
     apply_weighting,
     assemble_full_interp,
     assemble_hermite_bobyqa,
     assemble_hermite_ls,
     assemble_min_frob,
+    distance_weights,
     require_full_rank,
 )
 from hermiteopt.poisedness import lagrange_family
@@ -58,10 +58,10 @@ def reference_scaling_vectors(sys, delta: float):
     return left, diag
 
 
-def reference_apply_weighting(sys, scheme, ts):
+def reference_apply_weighting(sys, ts):
     if sys.kind not in HERMITE_KINDS:
         raise KindMismatch(f"weighting does not apply to {sys.kind.value}")
-    w = scheme.weights(ts)
+    w = distance_weights(ts)
     row_w = np.ones(sys.rows)
     for r, tag in enumerate(sys.row_tags):
         if sys.kind is ModelKind.HERMITE_BOBYQA and tag[0] != "grad":
@@ -163,13 +163,13 @@ def check_against_references(ts, sys, delta, weighting):
     assert np.array_equal(scaled.rhs, left * sys.rhs)
 
     if weighting and sys.kind in HERMITE_KINDS:
-        matrix, rhs = reference_apply_weighting(TaggedSystem(scaled), WeightScheme(), ts)
-        weighted = apply_weighting(scaled, WeightScheme(), ts)
+        matrix, rhs = reference_apply_weighting(TaggedSystem(scaled), ts)
+        weighted = apply_weighting(scaled, ts)
         assert np.array_equal(weighted.matrix, matrix)
         assert np.array_equal(weighted.rhs, rhs)
     elif weighting:
         with pytest.raises(KindMismatch):
-            apply_weighting(scaled, WeightScheme(), ts)
+            apply_weighting(scaled, ts)
 
     order, totals = reference_redundancy_order(TaggedSystem(scaled), ts.size, ts.incumbent_index)
     leverage = driver._point_leverage(scaled, ts.size)
@@ -186,6 +186,7 @@ def check_against_references(ts, sys, delta, weighting):
             continue
         family = lagrange_family(system)
         assert np.array_equal(family.coeffs, expected.coeffs)
+        assert np.array_equal(np.signbit(family.coeffs), np.signbit(expected.coeffs))
         assert np.array_equal(family.constants, expected.constants)
         assert family.incumbent_index == expected.incumbent_index
         assert tuple(tag for tag, _ in family.row_polys) == expected.row_tags
@@ -204,6 +205,27 @@ def systems(draw):
         every = [(a, b) for a in axes for b in axes if a <= b]
         pairs = tuple(sorted(draw(st.sets(st.sampled_from(every), min_size=1, max_size=3))))
     return kind, n, directions, pairs, draw(st.integers(0, 2**32 - 1))
+
+
+class TestIncumbentComplement:
+    @settings(max_examples=60, deadline=None)
+    @given(systems(), st.floats(-8.0, 2.0).map(lambda e: 10.0**e), st.booleans())
+    def test_accumulation_matches_the_point_loop(self, case, delta, scaled):
+        # the complement column is minus the point columns summed one by
+        # one in value-row order from zero, bit for bit and sign for sign
+        _, sys = build_system(*case)
+        if scaled:
+            sys = apply_scaling(sys, delta)
+        try:
+            family = lagrange_family(sys)
+        except RankDeficient:
+            return
+        total = np.zeros(family.coeffs.shape[0])
+        for i in sys.value_block.points.tolist():
+            total = total + family.coeffs[:, i]
+        column = family.coeffs[:, family.incumbent_index]
+        assert np.array_equal(column, -total)
+        assert np.array_equal(np.signbit(column), np.signbit(-total))
 
 
 class TestAgainstRowTags:
