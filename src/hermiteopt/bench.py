@@ -3,13 +3,12 @@
 A plan expands into individual runs (one per problem, kind, derivative
 mask and seed).  Results are written as CSV with a fixed column order
 and 17-significant-digit floats so that identical plans reproduce
-byte-identical files.  An optional JSON mirror carries the same rows.
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -266,7 +265,6 @@ def run_plan(
     plan: ExperimentPlan,
     out_path: str | Path,
     workers: int = 1,
-    json_mirror: bool = False,
 ) -> list[dict]:
     """Execute every run of the plan and write the results CSV.
 
@@ -297,10 +295,6 @@ def run_plan(
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
-    if json_mirror:
-        mirror = out_path.with_suffix(out_path.suffix + ".json")
-        payload = [{c: _fmt(row[c]) for c in RESULT_COLUMNS} for row in rows]
-        mirror.write_text(json.dumps(payload, indent=2) + "\n")
     return rows
 
 

@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a solver x problem x mask grid")
     _add_run_flags(p_run)
-    p_run.add_argument("--json", action="store_true", help="also write a JSON mirror")
     p_run.add_argument("--workers", type=int, default=1)
 
     p_sum = sub.add_parser("summarize", help="group means from a results CSV")
@@ -74,7 +73,7 @@ def _cmd_run(args) -> int:
         weighting=args.weighting,
         second_order=args.second_order,
     )
-    rows = run_plan(plan, args.out, workers=args.workers, json_mirror=args.json)
+    rows = run_plan(plan, args.out, workers=args.workers)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
 

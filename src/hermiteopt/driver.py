@@ -86,6 +86,8 @@ STALE_FACTOR = 8.0
 STEP_TINY = 1e-14
 # singular values below NULL_RTOL * s[0] span a system's null space
 NULL_RTOL = 1e-10
+# step lengths, in radii, a rank repair tries until a candidate is distinct
+REPAIR_SCALES = (1.0, 0.5, 0.25)
 # a poisedness estimate above this triggers a geometry step
 LAMBDA_THRESHOLD = 100.0
 
@@ -426,7 +428,7 @@ def _assemble(state: IterationState, spec: ObjectiveSpec):
     if kind is ModelKind.BOBYQA:
         return assemble_min_frob(ts, state.h_prev)
     if kind is ModelKind.HERMITE_LS:
-        return assemble_hermite_ls(ts, avail, include_second_order=bool(avail.pairs))
+        return assemble_hermite_ls(ts, avail)
     return assemble_hermite_bobyqa(ts, avail, state.h_prev)
 
 
@@ -458,26 +460,104 @@ def _null_basis(sys) -> np.ndarray:
     return null if null.size else Vt[-1:]
 
 
+def _candidate_rows(sys, candidates: np.ndarray, delta: float):
+    """The scaled value row and derivative rows each candidate point would
+    add to the system: ``(C, cols)`` and ``(C, directions, cols)``."""
+    Z = candidates - sys.shift
+    axes = [d - 1 for b in sys.blocks if b.name == "grad" for d in b.labels]
+    values = sys.basis.value_rows(Z) * sys.col_scale
+    derivatives = sys.basis.derivative_rows(Z, axes) * sys.col_scale * delta
+    return values, derivatives.reshape(len(Z), len(axes), values.shape[1])
+
+
+def _row_score(null: np.ndarray, value: np.ndarray, rows: np.ndarray) -> float:
+    """One candidate's score: the squared norm of each nonzero row's unit
+    vector projected on the null basis, summed in row order."""
+    score = 0.0
+    for row in (value, *rows):
+        norm = float(np.linalg.norm(row))
+        if norm > 0:
+            score += float(np.linalg.norm(null @ (row / norm)) ** 2)
+    return score
+
+
 def _null_space_scores(sys, null: np.ndarray, candidates: np.ndarray, delta: float) -> list[float]:
     """How strongly the rows each candidate point would contribute overlap
     the null space of the (scaled) system; larger lifts the rank more.
     The rows of all candidates are built at once; each row keeps its own
     norm and matrix-vector product, summed in row order, so a score does
     not depend on the other candidates."""
-    Z = candidates - sys.shift
-    axes = [d - 1 for b in sys.blocks if b.name == "grad" for d in b.labels]
-    values = sys.basis.value_rows(Z) * sys.col_scale
-    derivatives = sys.basis.derivative_rows(Z, axes) * sys.col_scale * delta
-    derivatives = derivatives.reshape(len(Z), len(axes), values.shape[1])
-    scores = []
-    for value, rows in zip(values, derivatives):
-        score = 0.0
-        for row in (value, *rows):
-            norm = float(np.linalg.norm(row))
-            if norm > 0:
-                score += float(np.linalg.norm(null @ (row / norm)) ** 2)
-        scores.append(score)
-    return scores
+    values, derivatives = _candidate_rows(sys, candidates, delta)
+    return [_row_score(null, v, d) for v, d in zip(values, derivatives)]
+
+
+def _stacked_scores(null: np.ndarray, values: np.ndarray, derivatives: np.ndarray):
+    """``_row_score`` of every candidate from one stacked product, and a
+    bound on each stacked score's distance from the loop's; None when the
+    bound does not hold.
+
+    A row ``a`` of ``q`` entries adds ``t = |N a|^2 / |a|^2`` for the ``k
+    x q`` null basis ``N``.  ``|N|_2^2 <= beta``, where ``beta`` bounds ``1
+    + |N N^T - I|_F`` past the rounding of ``N N^T``, so ``0 <= t <=
+    beta``.  Either scorer rounds ``|a|`` by ``(q/2 + 1) u`` and ``a /
+    |a|`` by ``(q/2 + 2) u`` entrywise (``u`` the unit roundoff), the
+    product with ``N`` by ``sqrt(k) q u sqrt(beta)`` in 2-norm and the
+    squared norm by ``(k + 3) u``, so a term errs from ``t`` by about
+    ``beta u (2 sqrt(k) q + q + k + 7)`` at most, and a candidate's sum of
+    ``r`` terms by ``r`` of those plus ``r^2 u beta`` for the additions.
+    ``r beta eps ((sqrt(k) + 1)(q + 3) + k + r + 4)`` (``eps = 2u``)
+    covers that with room for every second-order term, and twice it
+    bounds the distance between the two scorers.  The analysis needs no
+    overflow and no underflow beyond ``q + k`` subnormal units per term,
+    which row norms in ``[1e-140, 1e140]`` (or exactly 0: a row whose
+    squares all underflow, which both scorers skip) guarantee; other
+    rows, NaN included, return None.
+    """
+    count, r, q = len(values), 1 + derivatives.shape[1], values.shape[1]
+    k = null.shape[0]
+    rows = np.concatenate([values[:, None], derivatives], axis=1).reshape(-1, q)
+    norms = np.linalg.norm(rows, axis=1)
+    gram = null @ null.T
+    eps = np.finfo(float).eps
+    beta = 1.0 + 2.0 * (np.linalg.norm(gram - np.eye(k)) + q * eps * np.trace(gram))
+    in_range = (norms == 0.0) | ((norms >= 1e-140) & (norms <= 1e140))
+    if not (np.all(in_range) and math.isfinite(beta)):
+        return None
+    proj = (rows / np.where(norms > 0.0, norms, 1.0)[:, None]) @ null.T
+    scores = np.einsum("ij,ij->i", proj, proj).reshape(count, r).sum(axis=1)
+    return scores, 2 * r * beta * eps * ((math.sqrt(k) + 1) * (q + 3) + k + r + 4)
+
+
+def _best_candidate(sys, null: np.ndarray, candidates: np.ndarray, delta: float) -> int:
+    """``argmax(_null_space_scores(sys, null, candidates, delta))``, with
+    the loop run only on the candidates the stacked scores cannot rule
+    out.  A loop score lies within ``bound`` of its stacked score (see
+    ``_stacked_scores``), so a candidate whose stacked score trails the
+    top one by more than ``2 bound`` scores below it in the loop too; the
+    slack in ``bound`` absorbs the rounding of that comparison.  Without a
+    bound every candidate is a contender."""
+    values, derivatives = _candidate_rows(sys, candidates, delta)
+    stacked = _stacked_scores(null, values, derivatives)
+    if stacked is None:
+        contenders = np.arange(len(values))
+    else:
+        scores, bound = stacked
+        contenders = np.flatnonzero(scores >= np.max(scores) - 2 * bound)
+    exact = [_row_score(null, values[c], derivatives[c]) for c in contenders]
+    return int(contenders[int(np.argmax(exact))])
+
+
+def _first_distinct(x_opt, delta, directions, bounds, points) -> np.ndarray | None:
+    """The first repair candidate, over ``REPAIR_SCALES`` in turn and
+    ``directions`` in order, that equals no point of ``points``; None when
+    there is none.  Clipping and ``rows_equal`` work row by row, so each
+    candidate is bit for bit the row a batch over all directions gives."""
+    for scale in REPAIR_SCALES:
+        for d in directions:
+            y = bounds.clip(x_opt + scale * delta * d)
+            if _is_distinct(y, points):
+                return y
+    return None
 
 
 def _point_leverage(sys, point_count: int) -> np.ndarray:
@@ -499,11 +579,12 @@ def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
     A rank-deficient system has no Lagrange polynomials, so the repair
     point comes from candidate directions (the least-covered direction
     of the point cloud, then ``_pair_directions``) instead of a
-    polynomial extremizer; for the regression kinds the candidate whose
-    rows best cover the system's null space wins.  A stale set (points
-    far outside the trust ball, which wrecks the scaled system's
-    conditioning) loses its farthest point; otherwise the most redundant
-    point goes.  Returns the replaced index, or None when no distinct
+    polynomial extremizer.  The Frobenius kinds take the first distinct
+    candidate; for the regression kinds the candidate whose rows best
+    cover the system's null space wins (``_best_candidate``).  A stale
+    set (points far outside the trust ball, which wrecks the scaled
+    system's conditioning) loses its farthest point; otherwise the most
+    redundant point goes.  Returns the replaced index, or None when no distinct
     feasible candidate exists.
     """
     ts, delta = state.ts, state.radius
@@ -519,19 +600,19 @@ def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
     if target is None:
         return None
     directions = np.vstack([Vt[-1], -Vt[-1], _pair_directions(ts.dimension)])
-    for scale in (1.0, 0.5, 0.25):
-        candidates = spec.bounds.clip(x_opt + scale * delta * directions)
-        candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
-        if len(candidates):
-            break
+    if state.kind in FROBENIUS_KINDS:
+        pick = _first_distinct(x_opt, delta, directions, spec.bounds, ts.points)
+        if pick is None:
+            return None
     else:
-        return None
-    if state.kind in (ModelKind.FULL_INTERP, ModelKind.HERMITE_LS):
-        null = _null_basis(sys_scaled)
-        scores = _null_space_scores(sys_scaled, null, candidates, delta)
-        pick = candidates[int(np.argmax(scores))]
-    else:
-        pick = candidates[0]
+        for scale in REPAIR_SCALES:
+            candidates = spec.bounds.clip(x_opt + scale * delta * directions)
+            candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
+            if len(candidates):
+                break
+        else:
+            return None
+        pick = candidates[_best_candidate(sys_scaled, _null_basis(sys_scaled), candidates, delta)]
     state.ts = ts.replace(target, evaluator(pick, "repair"))
     return target
 

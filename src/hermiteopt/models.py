@@ -54,22 +54,13 @@ class ModelKind(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ModelKind":
-        text = text.strip().lower()
-        aliases = {
-            "full": cls.FULL_INTERP,
-            "full-interp": cls.FULL_INTERP,
-            "fullinterp": cls.FULL_INTERP,
-            "bobyqa": cls.BOBYQA,
-            "min-frob": cls.BOBYQA,
-            "minfrob": cls.BOBYQA,
-            "hermite-ls": cls.HERMITE_LS,
-            "hermitels": cls.HERMITE_LS,
-            "hermite-bobyqa": cls.HERMITE_BOBYQA,
-            "hermitebobyqa": cls.HERMITE_BOBYQA,
-        }
-        if text not in aliases:
-            raise ValueError(f"unknown model kind {text!r}")
-        return aliases[text]
+        """The kind whose value is ``text``, ignoring case and surrounding
+        whitespace."""
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            known = ", ".join(k.value for k in cls)
+            raise ValueError(f"unknown model kind {text!r}; known: {known}") from None
 
 
 # kinds whose rows admit distance weighting, and kinds whose Hessian is
@@ -302,23 +293,18 @@ def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
     return _min_frob_system(ts, _check_symmetric(h_prev, n))
 
 
-def assemble_hermite_ls(
-    ts: TrainingSet,
-    availability,
-    include_second_order: bool = False,
-) -> AssembledSystem:
+def assemble_hermite_ls(ts: TrainingSet, availability) -> AssembledSystem:
     """Hermite least-squares system: value rows for the non-incumbent
     points, then derivative rows for every point in point-major order
     (all known directions of the first point, then the next point, ...).
 
-    Second-order rows, when enabled, are appended per point for every
-    available pair.  Right-hand sides carry differenced values but raw
-    derivative values.
+    Second-order rows are appended per point for every available pair;
+    a run that does not read them drops the pairs from its availability.
+    Right-hand sides carry differenced values but raw derivative values.
     """
     n = ts.dimension
     basis = MonomialBasis(n)
-    directions = availability.directions
-    pairs = availability.pairs if include_second_order else ()
+    directions, pairs = availability.directions, availability.pairs
     if not directions and not pairs:
         raise ValueError("Hermite least squares needs derivative availability")
     shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)

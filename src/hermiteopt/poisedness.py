@@ -117,11 +117,12 @@ class Region:
         hi.flags.writeable = False
         return lo, hi
 
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """Whether ``x`` lies in the region, up to a slack of 1e-12."""
         lo, hi = self.box
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
+        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
             return False
-        return float(np.linalg.norm(x - self.center)) <= self.radius * (1 + tol)
+        return float(np.linalg.norm(x - self.center)) <= self.radius * (1 + 1e-12)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Feasible retraction: clip into the box, then shrink into the ball."""
@@ -133,31 +134,31 @@ class Region:
             y = self.center + d * (self.radius / norm)
         return y
 
-    def sample(self, per_axis: int | None = None, cap: int = LAMBDA_SAMPLE_CAP) -> np.ndarray:
+    def sample(self, per_axis: int | None = None) -> np.ndarray:
         """Deterministic sample of the region, always containing the center.
 
         A tensor grid of ``per_axis`` points per dimension is used while it
-        fits under ``cap``; otherwise a fixed-seed uniform sample of the
-        ball-box intersection stands in.  The default sample is drawn
-        once per region and shared by every caller, so samples are
-        read-only.
+        fits under ``LAMBDA_SAMPLE_CAP``; otherwise a fixed-seed uniform
+        sample of the ball-box intersection stands in.  The default sample
+        is drawn once per region and shared by every caller, so samples
+        are read-only.
 
         The ball sample skips its ball test when no bound face cuts the
         ball, the radius lies in [1e-100, 1e100] and ``|center| <= 1e6 *
         radius``: there rounding cannot push a draw past the test's
         ``1e-9`` relative slack, so every draw would pass and the first
-        ``cap`` draws are the sample (proof in ``_draw``).  Other regions
-        walk the draws and test each one.
+        ``LAMBDA_SAMPLE_CAP`` draws are the sample (proof in ``_draw``).
+        Other regions walk the draws and test each one.
         """
-        if per_axis is None and cap == LAMBDA_SAMPLE_CAP:
+        if per_axis is None:
             return self._default_sample
-        return self._draw(per_axis, cap)
+        return self._draw(per_axis)
 
     @cached_property
     def _default_sample(self) -> np.ndarray:
-        return self._draw(None, LAMBDA_SAMPLE_CAP)
+        return self._draw(None)
 
-    def _draw(self, per_axis: int | None, cap: int) -> np.ndarray:
+    def _draw(self, per_axis: int | None) -> np.ndarray:
         """The sample behind ``sample``.
 
         The ball sample's test ``|fl(c + t) - c| <= reach``, with ``t =
@@ -177,7 +178,7 @@ class Region:
         underflow's absolute error far below ``u r``.  A non-finite center
         or radius fails the cut and walks.
         """
-        n = self.center.size
+        n, cap = self.center.size, LAMBDA_SAMPLE_CAP
         lo, hi = self.box
         if per_axis is None:
             per_axis = max(3, min(2 * n + 1, int(cap ** (1.0 / n))))

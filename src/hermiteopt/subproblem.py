@@ -82,7 +82,6 @@ def _cauchy_path(g, H, delta, step_lo, step_hi) -> np.ndarray:
     ends = np.concatenate([finite[finite > 1e-16], [np.inf]])
     for t_next in ends:
         d = np.where(t_break > t_cur * (1 + 1e-15) + 1e-300, -g, 0.0)
-        d[t_break <= t_cur] = 0.0
         if not np.any(d):
             break
         slope = float((g + H.dot(s)).dot(d))

@@ -366,6 +366,7 @@ _BUILDERS = [
     lambda: rosenbrock(2),
     lambda: rosenbrock(5),
     lambda: rosenbrock(10),
+    lambda: rosenbrock(20),
     lambda: sphere(2),
     lambda: sphere(3),
     lambda: sphere(4),
@@ -377,6 +378,7 @@ _BUILDERS = [
     lambda: zakharov(3),
     lambda: zakharov(5),
     lambda: zakharov(10),
+    lambda: zakharov(20),
     lambda: trid(3),
     lambda: trid(4),
     lambda: rotated_ellipsoid(4),

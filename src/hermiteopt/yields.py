@@ -69,7 +69,6 @@ class YieldProblem:
     n_mc: int = 2500
     sampling: SamplingMode = SamplingMode.FIXED_SHIFTED
     seed: int = 0
-    sigma: float = SIGMA
     _rng: np.random.Generator = field(init=False, repr=False)
     _base: np.ndarray = field(init=False, repr=False)
 
@@ -89,7 +88,7 @@ class YieldProblem:
             base = self._base
         else:
             base = self._rng.standard_normal((self.n_mc, 2))
-        return np.asarray(means, dtype=float) + self.sigma * base
+        return np.asarray(means, dtype=float) + SIGMA * base
 
     def safe_mask(self, samples: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Which samples meet the requirement at every frequency point.
@@ -126,15 +125,15 @@ def yield_estimate(yp: YieldProblem, x: np.ndarray) -> float:
     return yp.estimate(x)
 
 
-def _mean_gradient(value, safe_mean, x, sigma) -> np.ndarray:
+def _mean_gradient(value, safe_mean, x) -> np.ndarray:
     if safe_mean is None:
         return np.zeros(2)
-    return value * (safe_mean - x[:2]) / sigma**2
+    return value * (safe_mean - x[:2]) / SIGMA**2
 
 
 def yield_gradient_means(yp: YieldProblem, x: np.ndarray) -> np.ndarray:
     """Derivative of the estimated yield with respect to the two means:
-    ``Y * (safe_mean_j - mean_j) / sigma_j^2``; zero when no sample is safe.
+    ``Y * (safe_mean_j - mean_j) / SIGMA^2``; zero when no sample is safe.
 
     In fixed-shifted mode the sample is the one that produces the value at
     ``x``.  In resampled mode this call draws its own sample, so the
@@ -142,7 +141,7 @@ def yield_gradient_means(yp: YieldProblem, x: np.ndarray) -> np.ndarray:
     (ROADMAP direction 5).
     """
     x = np.asarray(x, dtype=float)
-    return _mean_gradient(*yp.estimate_with_stats(x), x, yp.sigma)
+    return _mean_gradient(*yp.estimate_with_stats(x), x)
 
 
 YIELD_MODES = {
@@ -167,8 +166,7 @@ def yield_objective(mode: str = "nonoise", seed: int = 0) -> ObjectiveSpec:
 
     if sampling is SamplingMode.FIXED_SHIFTED:
         # the estimate is deterministic, so the value and the derivatives at
-        # one point share it: (x bytes, value, safe mean) of the last point.
-        # The cache lives here, where nothing else can change yp's sigma.
+        # one point share it: (x bytes, value, safe mean) of the last point
         last = None
 
         def stats(x):
@@ -184,7 +182,7 @@ def yield_objective(mode: str = "nonoise", seed: int = 0) -> ObjectiveSpec:
 
         def derivative(x):
             x, val, safe_mean = stats(x)
-            return -_mean_gradient(val, safe_mean, x, yp.sigma)
+            return -_mean_gradient(val, safe_mean, x)
 
     else:
         # a fresh draw for the value and for each derivative component; one

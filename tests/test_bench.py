@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -110,12 +109,10 @@ class TestRunPlan:
         run_plan(plan, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_mirror(self, tmp_path):
+    def test_writes_the_csv_alone(self, tmp_path):
         out = tmp_path / "res.csv"
-        rows = run_plan(small_plan(), out, json_mirror=True)
-        payload = json.loads((tmp_path / "res.csv.json").read_text())
-        assert len(payload) == len(rows)
-        assert set(payload[0]) == set(RESULT_COLUMNS)
+        rows = run_plan(small_plan(), out)
+        assert rows and list(tmp_path.iterdir()) == [out]
 
     def test_hermite_beats_bobyqa_on_partial_rosenbrock(self, tmp_path):
         plan = small_plan(problems=("rosenbrock2",), budget=500)
@@ -328,6 +325,21 @@ class TestCli:
         out = tmp_path / "trace.csv"
         assert main(["trace", "--problems", "sphere2", "--budget", "30", "--out", str(out)]) == 0
         assert out.exists()
+
+    def test_json_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problems", "sphere2", "--budget", "30", "--out", str(out), "--json"])
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_kind_lists_the_four(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["run", "--problems", "sphere2", "--kinds", "min-frob", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(kind.value in err for kind in ModelKind)
+        assert not out.exists()
 
     def test_unknown_problem_exit_code(self, tmp_path, capsys):
         code = main(

@@ -36,7 +36,14 @@ from hermiteopt.models import (
     assemble_hermite_ls,
 )
 from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_lambda, lagrange_family
-from hermiteopt.problem import Bounds, EvaluationBudget, ObjectiveSpec, TaylorReference, TrainingSet
+from hermiteopt.problem import (
+    Bounds,
+    EvaluationBudget,
+    ObjectiveSpec,
+    TaylorReference,
+    TrainingSet,
+    rows_equal,
+)
 from hermiteopt.testbed import get_problem, mask_availability, rosenbrock
 
 
@@ -823,6 +830,59 @@ class TestRankRepairScores:
             expected = [self.reference_score(sys, null, c, delta) for c in candidates]
             assert _null_space_scores(sys, null, candidates, delta) == expected
 
+    @staticmethod
+    def repair_system(n, rng, trial):
+        """A scaled full-interp or hermite-ls system on a seeded set, and
+        the rank repair's ± candidates around its incumbent."""
+        q1 = (n + 1) * (n + 2) // 2
+        directions = ()
+        if trial % 3:
+            k_d = int(rng.integers(1, n + 1))
+            directions = tuple(sorted(int(d) for d in rng.choice(np.arange(1, n + 1), k_d, replace=False)))
+        count = q1 if not directions else max(n + 2, -(-q1 // (1 + len(directions))) + 1)
+        _, _, _, fn, grad = random_quadratic(n, rng)
+        points = rng.normal(size=(count, n)) * 10.0 ** rng.uniform(-2, 1)
+        if trial % 2 == 0:
+            points[:, -1] = 0.0  # points on a hyperplane leave a null space
+        ts = build_training_set(points, fn, grad, directions)
+        if directions:
+            sys = assemble_hermite_ls(ts, availability(directions))
+        else:
+            sys = assemble_full_interp(ts)
+        delta = float(10.0 ** rng.uniform(-3, 1))
+        sys = apply_scaling(sys, delta)
+        v = rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        steps = np.vstack([v, -v, driver._pair_directions(n)])
+        return sys, ts.incumbent_record.point + delta * steps, delta
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_certified_pick_equals_the_loop_argmax(self, n):
+        rng = np.random.default_rng(300 + n)
+        rescored = []
+        for trial in range(6):
+            sys, candidates, delta = self.repair_system(n, rng, trial)
+            null = _null_basis(sys)
+            loop = np.array(_null_space_scores(sys, null, candidates, delta))
+            stacked, bound = driver._stacked_scores(null, *driver._candidate_rows(sys, candidates, delta))
+            assert 0 < bound < 1e-9
+            assert np.all(np.abs(stacked - loop) <= bound)
+            assert driver._best_candidate(sys, null, candidates, delta) == int(np.argmax(loop))
+            rescored.append(np.count_nonzero(stacked >= np.max(stacked) - 2 * bound))
+        # ± candidates tie exactly on the hyperplane sets, so ties are re-scored
+        assert max(rescored) > 1
+
+    def test_rows_out_of_range_fall_back_to_the_loop(self):
+        rng = np.random.default_rng(320)
+        sys, candidates, delta = self.repair_system(3, rng, 0)
+        null = _null_basis(sys)
+        for far in (1e75, np.nan):
+            moved = candidates.copy()
+            moved[5] = sys.shift + far * delta
+            assert driver._stacked_scores(null, *driver._candidate_rows(sys, moved, delta)) is None
+            loop = _null_space_scores(sys, null, moved, delta)
+            assert driver._best_candidate(sys, null, moved, delta) == int(np.argmax(loop))
+
 
 def reference_repair_candidates(n: int, direction: np.ndarray):
     """The rank repair's candidate directions as a generator built them."""
@@ -841,7 +901,47 @@ def reference_repair_candidates(n: int, direction: np.ndarray):
             yield -flipped
 
 
+def batch_first_distinct(x_opt, delta, directions, bounds, points):
+    """The Frobenius kinds' repair pick as a batch over every direction
+    chose it."""
+    for scale in (1.0, 0.5, 0.25):
+        candidates = bounds.clip(x_opt + scale * delta * directions)
+        candidates = candidates[~np.any(rows_equal(points, candidates), axis=1)]
+        if len(candidates):
+            return candidates[0]
+    return None
+
+
 class TestRepairDirections:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    def test_first_distinct_equals_the_batch_filter(self, n):
+        rng = np.random.default_rng(330 + n)
+        picks = set()
+        for trial in range(40):
+            x_opt = rng.normal(size=n)
+            delta = float(10.0 ** rng.uniform(-4, 0))
+            v = rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            directions = np.vstack([v, -v, driver._pair_directions(n)])
+            # faces within two radii, some through x_opt, clip many candidates onto one point
+            lower = x_opt - delta * rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+            upper = x_opt + delta * rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+            bounds = Bounds(lower, upper)
+            every = [bounds.clip(x_opt + s * delta * directions) for s in (1.0, 0.5, 0.25)]
+            # the set holds the incumbent and a seeded share of the candidates
+            pool = np.vstack(every)
+            share = (0.0, 0.5, 0.9, 1.0)[trial % 4]
+            points = np.vstack([x_opt, pool[rng.random(len(pool)) < share]])
+            lazy = driver._first_distinct(x_opt, delta, directions, bounds, points)
+            batch = batch_first_distinct(x_opt, delta, directions, bounds, points)
+            if batch is None:
+                assert lazy is None
+                picks.add("none")
+            else:
+                assert lazy.tobytes() == batch.tobytes()
+                picks.add("first" if batch.tobytes() == every[0][0].tobytes() else "later")
+        assert picks == {"none", "first", "later"}
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_table_equals_the_generator_bit_for_bit(self, n):
         direction = np.random.default_rng(n).normal(size=n)

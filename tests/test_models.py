@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from util import availability, build_training_set, kkt_min_frobenius, poised_points, random_quadratic, row_tags
 
+from hermiteopt.basis import MonomialBasis
 from hermiteopt.exceptions import (
     KindMismatch,
     MissingDerivative,
@@ -13,6 +14,8 @@ from hermiteopt.models import (
     ModelKind,
     WEIGHT_SCALE,
     QuadraticModel,
+    _derivative_entries,
+    _shifted_non_incumbent,
     apply_scaling,
     apply_weighting,
     assemble_full_interp,
@@ -130,7 +133,61 @@ class TestMinFrob:
         assert np.allclose(model.g, grad(x_opt), atol=1e-8)
 
 
+def reference_hermite_ls(ts, avail, include_second_order):
+    """``assemble_hermite_ls`` as it was with its second-order flag: the
+    matrix, right-hand side and (name, labels) of each derivative block."""
+    basis = MonomialBasis(ts.dimension)
+    directions = avail.directions
+    pairs = avail.pairs if include_second_order else ()
+    shift, _, D, _, value_rhs = _shifted_non_incumbent(ts)
+    rhs = [value_rhs, _derivative_entries(ts, directions).ravel()]
+    blocks = [("grad", directions)]
+    parts = [
+        basis.value_rows(D),
+        basis.derivative_rows(ts.points - shift, [d - 1 for d in directions]),
+    ]
+    if pairs:
+        rhs.append(_derivative_entries(ts, pairs, second=True).ravel())
+        blocks.append(("hess", pairs))
+        hess_rows = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
+        parts.append(np.tile(hess_rows, (ts.size, 1)))
+    return np.vstack(parts), np.concatenate(rhs), blocks
+
+
+class TestModelKind:
+    def test_parse_takes_the_four_values(self):
+        for kind in ModelKind:
+            assert ModelKind.parse(f" {kind.value.upper()}\t") is kind
+        assert ModelKind.parse(" Hermite-LS ") is ModelKind.HERMITE_LS
+
+    @pytest.mark.parametrize("text", ["min-frob", "full", "hermitels", "hermite_ls", ""])
+    def test_other_spellings_name_the_four(self, text):
+        with pytest.raises(ValueError) as exc:
+            ModelKind.parse(text)
+        assert all(kind.value in str(exc.value) for kind in ModelKind)
+
+
 class TestHermiteLS:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pairs_decide_the_second_order_rows(self, n):
+        # the system equals the old flag-on one with pairs and the old
+        # flag-off one once the pairs are dropped, as `run` drops them
+        rng = np.random.default_rng(60 + n)
+        all_pairs = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+        for _ in range(5):
+            k_d = int(rng.integers(1, n + 1))
+            directions = tuple(sorted(int(d) for d in rng.choice(np.arange(1, n + 1), k_d, replace=False)))
+            picked = rng.choice(len(all_pairs), int(rng.integers(1, len(all_pairs) + 1)), replace=False)
+            pairs = tuple(all_pairs[i] for i in sorted(picked))
+            ts, _ = quad_set(n, 2 * n + 1, rng, directions, pairs)
+            declared = availability(directions, pairs)
+            for avail, flag in ((declared, True), (availability(directions), False)):
+                sys = assemble_hermite_ls(ts, avail)
+                matrix, rhs, blocks = reference_hermite_ls(ts, declared, flag)
+                assert sys.matrix.tobytes() == matrix.tobytes()
+                assert sys.rhs.tobytes() == rhs.tobytes()
+                assert [(b.name, b.labels) for b in sys.blocks[1:]] == blocks
+
     def test_square_hermite_counts(self):
         # n=2 with both derivatives known: two points make the system square
         rng = np.random.default_rng(10)
@@ -190,7 +247,7 @@ class TestHermiteLS:
         rng = np.random.default_rng(15)
         pairs = ((1, 1), (1, 2), (2, 2))
         ts, (c, g, H, fn, grad) = quad_set(2, 3, rng, directions=(1,), pairs=pairs)
-        sys = assemble_hermite_ls(ts, availability((1,), pairs), include_second_order=True)
+        sys = assemble_hermite_ls(ts, availability((1,), pairs))
         assert sys.matrix.shape == (2 + 3 * 1 + 3 * 3, 5)
         hess_rows = [t for t in row_tags(sys.blocks) if t[0] == "hess"]
         assert len(hess_rows) == 9
@@ -474,7 +531,7 @@ class TestVectorizedAssembly:
         directions = tuple(range(1, n + 1, 2))
         pairs = ((1, 1), (1, n))
         ts, _ = quad_set(n, 2 * n + 1, rng, directions, pairs)
-        sys = assemble_hermite_ls(ts, availability(directions, pairs), include_second_order=True)
+        sys = assemble_hermite_ls(ts, availability(directions, pairs))
         basis, shift = sys.basis, sys.shift
         rows = [basis.value_row(ts.records[i].point - shift) for i in sys.value_block.points]
         rows += [

@@ -137,17 +137,14 @@ def build_system(kind, n, directions, pairs, seed):
     with values and derivatives of a random quadratic."""
     rng = np.random.default_rng(seed)
     _, _, H, fn, grad = random_quadratic(n, rng)
-    second = bool(pairs)
-    count = default_point_count(kind, n, directions, pairs, second)
+    count = default_point_count(kind, n, directions, pairs, bool(pairs))
     pts = rng.uniform(-1.0, 1.0, size=(count, n)) * rng.uniform(0.1, 10.0)
     ts = build_training_set(pts, fn, grad, directions, lambda x: H, pairs)
     h_prev = np.diag(rng.normal(size=n))
     sys = {
         ModelKind.FULL_INTERP: lambda: assemble_full_interp(ts),
         ModelKind.BOBYQA: lambda: assemble_min_frob(ts, h_prev),
-        ModelKind.HERMITE_LS: lambda: assemble_hermite_ls(
-            ts, availability(directions, pairs), include_second_order=second
-        ),
+        ModelKind.HERMITE_LS: lambda: assemble_hermite_ls(ts, availability(directions, pairs)),
         ModelKind.HERMITE_BOBYQA: lambda: assemble_hermite_bobyqa(ts, availability(directions), h_prev),
     }[kind]()
     return ts, sys

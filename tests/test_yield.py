@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hermiteopt.yields import (
     BOUNDS,
     DECAY,
     R_GRID,
+    SIGMA,
     START_POINT,
     START_YIELD,
     SamplingMode,
@@ -30,6 +33,12 @@ class TestEstimator:
         yp = YieldProblem(n_mc=2500, seed=0)
         assert yield_estimate(yp, START_POINT) == pytest.approx(START_YIELD, abs=0.03)
 
+    def test_spread_is_the_calibrated_constant(self):
+        # DECAY is calibrated from SIGMA, so the spread is no field
+        assert "sigma" not in {f.name for f in dataclasses.fields(YieldProblem)}
+        expected = SIGMA * np.random.default_rng(9).standard_normal((4, 2))
+        assert np.array_equal(YieldProblem(n_mc=4, seed=9).samples(np.zeros(2)), expected)
+
     def test_estimate_in_unit_interval(self):
         rng = np.random.default_rng(0)
         yp = YieldProblem(n_mc=200, seed=1)
@@ -43,8 +52,11 @@ class TestEstimator:
         x = np.array([13.0, 9.0, 0.0, 0.0])  # means far from the moved bump
         assert yield_estimate(yp, x) == 1.0
 
-    def test_none_safe_at_center_with_tight_spread(self):
-        yp = YieldProblem(n_mc=500, seed=3, sigma=0.05)
+    def test_none_safe_when_every_draw_lands_in_the_bump(self):
+        # the calibrated radius around the bump center (9, 5) is unsafe
+        yp = YieldProblem(n_mc=5, seed=28)
+        radius = SIGMA * np.sqrt(-2.0 * np.log(START_YIELD))
+        assert np.all(np.linalg.norm(yp.samples(START_POINT[:2]) - [9.0, 5.0], axis=1) < radius)
         assert yield_estimate(yp, START_POINT) == 0.0
 
     def test_fixed_shifted_deterministic(self):
@@ -81,7 +93,7 @@ class TestWorstFrequencyMask:
         all_safe = none_safe = mixed = 0
         for k in range(3200):
             n_mc = 1 if k % 8 == 0 else int(rng.integers(2, 200))
-            sigma = 1e-12 if k % 5 == 0 else float(rng.uniform(0.05, 2.0))
+            spread = 1e-12 if k % 5 == 0 else float(rng.uniform(0.05, 2.0))
             if k % 2:
                 # the box and a box-width beyond it on every side
                 x = rng.uniform(BOUNDS.lower - span, BOUNDS.upper + span)
@@ -90,12 +102,11 @@ class TestWorstFrequencyMask:
                 d = rng.uniform(BOUNDS.lower[2:] - 1.0, BOUNDS.upper[2:] + 1.0)
                 center = np.array([9.0 + 2.0 * (d[0] - 1.0), 5.0 + 2.0 * (d[1] - 1.0)])
                 x = np.concatenate([center + rng.normal(0.0, 1.0, 2), d])
-            yp = YieldProblem(n_mc=n_mc, seed=k, sigma=sigma)
-            samples = yp.samples(x[:2])
-            mask = yp.safe_mask(samples, x[2:])
+            samples = x[:2] + spread * np.random.default_rng(k).standard_normal((n_mc, 2))
+            mask = YieldProblem(n_mc=1).safe_mask(samples, x[2:])
             expected = _full_grid_mask(samples, x[2:])
             assert mask.shape == expected.shape == (n_mc,)
-            assert np.array_equal(mask, expected), (k, x, sigma)
+            assert np.array_equal(mask, expected), (k, x, spread)
             all_safe += bool(mask.all())
             none_safe += not mask.any()
             mixed += 0 < mask.sum() < n_mc
@@ -144,7 +155,7 @@ class TestGradient:
                 assert abs(g[j] - fd) <= 2e-2
 
     def test_zero_when_nothing_safe(self):
-        yp = YieldProblem(n_mc=300, seed=6, sigma=0.05)
+        yp = YieldProblem(n_mc=5, seed=28)  # every draw is unsafe, as above
         g = yield_gradient_means(yp, START_POINT)
         assert np.array_equal(g, np.zeros(2))
 
