@@ -79,7 +79,9 @@ class MonomialBasis:
         axes = np.asarray(axes, dtype=int)
         shape = (Z.shape[0], axes.size)
         ii, jj = self._ii, self._jj
-        quad = (ii == axes[:, None]) * Z[:, None, jj] + (jj == axes[:, None]) * Z[:, None, ii]
+        # ``take`` keeps every block C-ordered, so the final reshape is a view
+        Zi, Zj = Z.take(ii, axis=1)[:, None], Z.take(jj, axis=1)[:, None]
+        quad = (ii == axes[:, None]) * Zj + (jj == axes[:, None]) * Zi
         # the 1/2 on squares turns the doubled diagonal term back into z_axis
         quad[..., self._diag] *= 0.5
         lin = np.broadcast_to(np.eye(self.n)[axes], shape + (self.n,))

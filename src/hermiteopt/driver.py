@@ -383,10 +383,11 @@ def initialize(
 ) -> IterationState:
     """Resolve the run's model (once per run) and evaluate its initial set.
 
-    A fixed variable, a start outside the box or a budget below the
-    initial set raises before anything is evaluated.  The default initial
-    radius, 0.1 max(1, |x0|_inf), is capped at half the narrowest box
-    width, as BOBYQA requires of its initial radius.
+    A fixed variable, a start outside the box, a budget below the initial
+    set or a default radius not above ``min_radius`` raises before anything
+    is evaluated.  The default initial radius, 0.1 max(1, |x0|_inf), is
+    capped at half the narrowest box width, as BOBYQA requires of its
+    initial radius.
     """
     x0 = np.asarray(x0, dtype=float)
     lower, upper = spec.bounds.lower, spec.bounds.upper
@@ -403,7 +404,13 @@ def initialize(
         )
     delta0 = config.initial_radius
     if delta0 is None:
-        delta0 = min(0.1 * max(1.0, float(np.max(np.abs(x0)))), 0.5 * float(np.min(upper - lower)))
+        narrowest = int(np.argmin(upper - lower))
+        delta0 = min(0.1 * max(1.0, float(np.max(np.abs(x0)))), 0.5 * float(upper[narrowest] - lower[narrowest]))
+        if delta0 <= config.min_radius:
+            raise ValueError(
+                f"box too narrow at 1-based index {narrowest + 1}: default initial radius "
+                f"{delta0:.3g} does not exceed the minimum radius {config.min_radius:.3g}"
+            )
     known_axes = tuple(d - 1 for d in spec.availability.directions)
     records = [
         evaluator(p, "init")
@@ -755,7 +762,6 @@ def step_iteration(
 
     trial = spec.bounds.clip(x_opt + step)
     rec = evaluator(trial, "trial")
-    lam = lam_bound = math.nan
     r = (f_opt - rec.value) / decrease
     accepted = r >= ETA1
     # grow only when the step actually used the radius, otherwise the
@@ -779,36 +785,37 @@ def step_iteration(
             replaced = outgoing
         except DuplicatePoint:
             pass
+    # the row goes in before the geometry step, whose evaluation may end
+    # the run, so every billed trial keeps its row
+    row = TraceRow(
+        iteration=state.iteration,
+        evaluations=evaluator.used,
+        radius=state.radius,
+        f_best=evaluator.best_value,
+        accepted=accepted,
+        model_error=diag_value,
+        ratio=r,
+        step_norm=step_norm,
+        predicted_decrease=decrease,
+        repairs=len(repaired),
+        sigma_ratio=sigma_ratio,
+        replaced=replaced,
+    )
+    trace.append(row)
+    try:
         # a crawl of tiny accepted steps never rejects, so it would never
         # reach the geometry check below; bad geometry sustains exactly
         # that pattern by freezing the model transverse to the crawl
-        if step_norm < 0.1 * delta:
-            lam, lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta)
-    # a trial that changed nothing means the function is flat at this
-    # resolution; fresh geometry points would all repeat that value
-    elif rec.value != f_opt:
-        # the training set is unchanged, so this iteration's system and
-        # its factorization still describe it
-        lam, lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
-
-    trace.append(
-        TraceRow(
-            iteration=state.iteration,
-            evaluations=evaluator.used,
-            radius=state.radius,
-            f_best=evaluator.best_value,
-            accepted=accepted,
-            model_error=diag_value,
-            ratio=r,
-            step_norm=step_norm,
-            predicted_decrease=decrease,
-            repairs=len(repaired),
-            sigma_ratio=sigma_ratio,
-            replaced=replaced,
-            lam=lam,
-            lam_bound=lam_bound,
-        )
-    )
+        if accepted and step_norm < 0.1 * delta:
+            row.lam, row.lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta)
+        # a trial that changed nothing means the function is flat at this
+        # resolution; fresh geometry points would all repeat that value
+        elif not accepted and rec.value != f_opt:
+            # the training set is unchanged, so this iteration's system and
+            # its factorization still describe it
+            row.lam, row.lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
+    finally:
+        row.evaluations, row.f_best = evaluator.used, evaluator.best_value
     return stop
 
 

@@ -1,13 +1,13 @@
 """Assembly and solution of the quadratic model-building systems.
 
-Four system kinds are supported:
-
-* full quadratic interpolation (square, value rows only),
-* the min-Frobenius-norm update system used by BOBYQA,
-* Hermite least squares (value rows plus derivative rows, solved by
-  least squares, optionally with second-order rows),
-* Hermite BOBYQA (the min-Frobenius system with gradient-matching rows
-  appended, solved by least squares).
+Four system kinds come from two builders.  ``_regression_system`` fits
+the basis coefficients: full quadratic interpolation (square, value rows
+only) and Hermite least squares (plus derivative rows and optional
+second-order rows).  ``_frobenius_system`` parameterizes the Hessian as
+an update of the previous one: BOBYQA's min-Frobenius-norm system, and
+Hermite BOBYQA with gradient-matching rows appended.  The four
+``assemble_*`` entry points check their inputs and call their builder;
+systems with more rows than columns are solved by least squares.
 
 All systems work in coordinates shifted by the incumbent; the constant
 coefficient is pinned to the incumbent value and never enters a system.
@@ -229,52 +229,92 @@ def _check_symmetric(H: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def assemble_full_interp(ts: TrainingSet) -> AssembledSystem:
-    """Square interpolation system on a set of (n+1)(n+2)/2 points."""
+def _regression_system(ts: TrainingSet, kind: ModelKind, directions, pairs) -> AssembledSystem:
+    """Value rows, then for Hermite least squares the derivative and
+    second-order rows ``assemble_hermite_ls`` describes."""
     basis = MonomialBasis(ts.dimension)
-    if ts.size != basis.q1:
-        raise WrongSetSize(
-            f"full interpolation needs {basis.q1} points, got {ts.size}"
+    hermite = kind is ModelKind.HERMITE_LS
+    shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)
+    rhs = [value_rhs]
+    blocks = [RowBlock("value", order, 0, hermite)]
+    parts = [basis.value_rows(D)]
+    if hermite:
+        rhs.append(_derivative_entries(ts, directions).ravel())
+        blocks.append(_derivative_block("grad", ts.size, directions, 1))
+        parts.append(basis.derivative_rows(ts.points - shift, [d - 1 for d in directions]))
+    if pairs:
+        rhs.append(_derivative_entries(ts, pairs, second=True).ravel())
+        blocks.append(_derivative_block("hess", ts.size, pairs, 2))
+        hess_rows = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
+        parts.append(np.tile(hess_rows, (ts.size, 1)))
+    matrix = np.vstack(parts)
+    if matrix.shape[0] < basis.q1 - 1:
+        raise Underdetermined(
+            f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients"
         )
-    shift, order, D, f_opt, rhs = _shifted_non_incumbent(ts)
     return AssembledSystem(
-        kind=ModelKind.FULL_INTERP,
-        matrix=basis.value_rows(D),
-        rhs=rhs,
+        kind=kind,
+        matrix=matrix,
+        rhs=np.concatenate(rhs),
         shift=shift,
         f_opt=f_opt,
-        blocks=(RowBlock("value", order, 0, False),),
+        blocks=tuple(blocks),
         col_exponents=_repeat((-1, -2), (basis.n, basis.n_quadratic)),
         basis=basis,
     )
 
 
-def _min_frob_system(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
+def _frobenius_system(ts: TrainingSet, h_prev: np.ndarray, directions) -> AssembledSystem:
+    """Value rows and ``mfn`` rows for a symmetric ``h_prev``, then one
+    gradient-matching row per known direction of each point, point-major."""
     n = ts.dimension
     shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)
     p = len(order)
+    axes = np.array([d - 1 for d in directions], dtype=int)
+    matrix = np.zeros((p + n + ts.size * axes.size, p + n))
     gram = D @ D.T
-    matrix = np.zeros((p + n, p + n))
     matrix[:p, :p] = 0.5 * gram**2
     matrix[:p, p:] = D
-    matrix[p:, :p] = D.T
+    matrix[p : p + n, :p] = D.T
     correction = 0.5 * np.einsum("ij,jk,ik->i", D, h_prev, D)
+    rhs = [value_rhs - correction, np.zeros(n)]
+    blocks = [
+        RowBlock("value", order, -2, False),
+        RowBlock("mfn", None, 1, False, tuple(range(1, n + 1))),
+    ]
+    if directions:
+        # D @ d_j and h_prev @ d_j for every point j as stacked matrix-vector
+        # products, which numpy runs one GEMV per point; one GEMM over all
+        # points would round differently
+        P = (ts.points - shift)[:, :, None]
+        inner = (D[None] @ P)[:, None, :, 0]
+        # row (j, l): sum_i v_i (C^i d_j)_l + g_l, with (C^i d_j)_l = D[i, l] (d_i . d_j)
+        grad_rows = matrix[p + n :].reshape(ts.size, axes.size, p + n)
+        grad_rows[:, :, :p] = D.T[axes][None] * inner
+        grad_rows[:, np.arange(axes.size), p + axes] = 1.0
+        rhs.append((_derivative_entries(ts, directions) - (h_prev[None] @ P)[:, axes, 0]).ravel())
+        blocks.append(_derivative_block("grad", ts.size, directions, -1))
     return AssembledSystem(
-        kind=ModelKind.BOBYQA,
+        kind=ModelKind.HERMITE_BOBYQA if directions else ModelKind.BOBYQA,
         matrix=matrix,
-        rhs=np.concatenate([value_rhs - correction, np.zeros(n)]),
+        rhs=np.concatenate(rhs),
         shift=shift,
         f_opt=f_opt,
-        blocks=(
-            RowBlock("value", order, -2, False),
-            RowBlock("mfn", None, 1, False, tuple(range(1, n + 1))),
-        ),
+        blocks=tuple(blocks),
         # point columns, then the n gradient columns
         col_exponents=_repeat((-2, 1), (p, n)),
         basis=MonomialBasis(n),
         shifted_points=D,
         h_prev=h_prev,
     )
+
+
+def assemble_full_interp(ts: TrainingSet) -> AssembledSystem:
+    """Square interpolation system on a set of (n+1)(n+2)/2 points."""
+    q1 = MonomialBasis(ts.dimension).q1
+    if ts.size != q1:
+        raise WrongSetSize(f"full interpolation needs {q1} points, got {ts.size}")
+    return _regression_system(ts, ModelKind.FULL_INTERP, (), ())
 
 
 def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
@@ -290,7 +330,7 @@ def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
         raise WrongSetSize(
             f"min-Frobenius kind needs n+2 <= p1 < {q1}, got {ts.size}"
         )
-    return _min_frob_system(ts, _check_symmetric(h_prev, n))
+    return _frobenius_system(ts, _check_symmetric(h_prev, n), ())
 
 
 def assemble_hermite_ls(ts: TrainingSet, availability) -> AssembledSystem:
@@ -302,41 +342,10 @@ def assemble_hermite_ls(ts: TrainingSet, availability) -> AssembledSystem:
     a run that does not read them drops the pairs from its availability.
     Right-hand sides carry differenced values but raw derivative values.
     """
-    n = ts.dimension
-    basis = MonomialBasis(n)
     directions, pairs = availability.directions, availability.pairs
     if not directions and not pairs:
         raise ValueError("Hermite least squares needs derivative availability")
-    shift, order, D, f_opt, value_rhs = _shifted_non_incumbent(ts)
-    rhs = [value_rhs, _derivative_entries(ts, directions).ravel()]
-    blocks = [
-        RowBlock("value", order, 0, True),
-        _derivative_block("grad", ts.size, directions, 1),
-    ]
-    parts = [
-        basis.value_rows(D),
-        basis.derivative_rows(ts.points - shift, [d - 1 for d in directions]),
-    ]
-    if pairs:
-        rhs.append(_derivative_entries(ts, pairs, second=True).ravel())
-        blocks.append(_derivative_block("hess", ts.size, pairs, 2))
-        hess_rows = [basis.second_derivative_row((a - 1, b - 1)) for a, b in pairs]
-        parts.append(np.tile(hess_rows, (ts.size, 1)))
-    matrix = np.vstack(parts)
-    if matrix.shape[0] < basis.q1 - 1:
-        raise Underdetermined(
-            f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients"
-        )
-    return AssembledSystem(
-        kind=ModelKind.HERMITE_LS,
-        matrix=matrix,
-        rhs=np.concatenate(rhs),
-        shift=shift,
-        f_opt=f_opt,
-        blocks=tuple(blocks),
-        col_exponents=_repeat((-1, -2), (basis.n, basis.n_quadratic)),
-        basis=basis,
-    )
+    return _regression_system(ts, ModelKind.HERMITE_LS, directions, pairs)
 
 
 def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -> AssembledSystem:
@@ -356,29 +365,7 @@ def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -
         raise ValueError("Hermite BOBYQA needs first-order availability")
     if ts.size < n + 2:
         raise WrongSetSize(f"Hermite BOBYQA needs at least n+2 points, got {ts.size}")
-    base = _min_frob_system(ts, _check_symmetric(h_prev, n))
-    shift, D = base.shift, base.shifted_points
-    p = len(D)
-
-    axes = np.array([d - 1 for d in directions])
-    # D @ d_j and h_prev @ d_j for every point j as stacked matrix-vector
-    # products, which numpy runs one GEMV per point; one GEMM over all
-    # points would round differently
-    P = (ts.points - shift)[:, :, None]
-    inner = (D[None] @ P)[:, None, :, 0]
-    correction = (base.h_prev[None] @ P)[:, axes, 0]
-    # row (j, l): sum_i v_i (C^i d_j)_l + g_l, with (C^i d_j)_l = D[i, l] (d_i . d_j)
-    grad_rows = np.zeros((ts.size, axes.size, p + n))
-    grad_rows[:, :, :p] = D.T[axes][None] * inner
-    grad_rows[:, np.arange(axes.size), p + axes] = 1.0
-    rhs = (_derivative_entries(ts, directions) - correction).ravel()
-    return dc_replace(
-        base,
-        kind=ModelKind.HERMITE_BOBYQA,
-        matrix=np.vstack([base.matrix, grad_rows.reshape(-1, p + n)]),
-        rhs=np.concatenate([base.rhs, rhs]),
-        blocks=base.blocks + (_derivative_block("grad", ts.size, directions, -1),),
-    )
+    return _frobenius_system(ts, _check_symmetric(h_prev, n), directions)
 
 
 def _scaling_vectors(sys: AssembledSystem, delta: float):

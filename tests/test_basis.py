@@ -158,3 +158,43 @@ def test_single_rows_match_their_one_point_forms_bitwise(n):
             expected = one_point_derivative_row(basis, z, axis)
             assert np.array_equal(basis.derivative_row(z, axis), expected)
             assert np.array_equal(np.signbit(basis.derivative_row(z, axis)), np.signbit(expected))
+
+
+def fancy_index_derivative_rows(basis, Z, axes):
+    """``derivative_rows`` as it indexed the pair columns with
+    ``Z[:, None, jj]``, which lays the point axis out fastest so the final
+    reshape copies: the reference for the test below."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    axes = np.asarray(axes, dtype=int)
+    ii, jj = basis._ii, basis._jj
+    quad = (ii == axes[:, None]) * Z[:, None, jj] + (jj == axes[:, None]) * Z[:, None, ii]
+    quad[..., basis._diag] *= 0.5
+    lin = np.broadcast_to(np.eye(basis.n)[axes], (Z.shape[0], axes.size, basis.n))
+    return np.concatenate([lin, quad], axis=2).reshape(-1, basis.q1 - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_derivative_rows_match_the_fancy_index_form_and_reshape_in_place(n, monkeypatch):
+    basis = MonomialBasis(n)
+    rng = np.random.default_rng(200 + n)
+    Z = rng.normal(size=(30, n)) * 10.0 ** rng.uniform(-8, 8, size=(30, n))
+    Z[0] = 0.0
+    Z[1] = -0.0
+    concatenated = []
+    concatenate = np.concatenate
+
+    def recording_concatenate(*args, **kwargs):
+        concatenated.append(concatenate(*args, **kwargs))
+        return concatenated[-1]
+
+    monkeypatch.setattr(np, "concatenate", recording_concatenate)
+    for axes in (list(range(n)), [n - 1], list(rng.permutation(n)[: max(1, n // 2)])):
+        concatenated.clear()
+        rows = basis.derivative_rows(Z, axes)
+        expected = fancy_index_derivative_rows(basis, Z, axes)
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(np.signbit(rows), np.signbit(expected))
+        # the point-major blocks are C-ordered, so the rows are a view of them
+        blocks = concatenated[0]
+        assert blocks.flags.c_contiguous and rows.flags.c_contiguous
+        assert np.shares_memory(rows, blocks)

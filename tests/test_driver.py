@@ -135,6 +135,42 @@ class TestInitialization:
             run(spec, np.array([0.0, 0.5, 0.0]), SolverConfig(kind=kind))
         assert calls == []
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_box_narrower_than_twice_min_radius_rejected_before_any_evaluation(self, kind):
+        # x2 in 1 +- 5e-10 caps the default radius at 5e-10, not above the
+        # 1e-8 minimum, so the first rejected trial would end the run at x0
+        problem = rosenbrock(2)
+        base = mask_availability(problem, {1})
+        calls = []
+        box = Bounds(np.array([-5.0, 1.0 - 5e-10]), np.array([10.0, 1.0 + 5e-10]))
+        spec = dataclasses.replace(
+            base,
+            bounds=box,
+            value=lambda x: calls.append(x) or problem.value(x),
+            derivative=lambda x: calls.append(x) or base.derivative(x),
+        )
+        message = "at 1-based index 2: default initial radius 5e-10 does not exceed the minimum radius 1e-08$"
+        with pytest.raises(ValueError, match=message):
+            run(spec, np.array([-1.2, 1.0]), SolverConfig(kind=kind))
+        assert calls == []
+
+
+class TestTraceRowPerTrial:
+    """Every billed trial keeps its trace row, also when the budget runs
+    out in the geometry step that follows it."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("name", ["rosenbrock2", "zakharov3", "trid4", "beale2"])
+    def test_trial_count_equals_trace_length(self, name, kind):
+        problem, spec = spec_for(name, mask=(1,))
+        for budget in range(30, 88, 3):
+            result = run(spec, problem.x_start, SolverConfig(kind=kind, max_evaluations=budget))
+            trials = sum(purpose == "trial" for purpose, _ in result.evaluation_log)
+            assert trials == len(result.trace), budget
+            evaluations = [row.evaluations for row in result.trace]
+            assert all(a < b for a, b in zip(evaluations, evaluations[1:]))
+            assert all(e <= result.evaluations for e in evaluations)
+
 
 class TestPredictedDecrease:
     def test_degenerate_decrease(self):
