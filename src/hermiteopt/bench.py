@@ -4,19 +4,25 @@ A plan expands into individual runs (one per problem, kind, derivative
 mask and seed).  Results are written as CSV with a fixed column order
 and 17-significant-digit floats so that identical plans reproduce
 byte-identical files.
+
+Each registry name is one `BenchCase` record, and `run_inputs` maps a
+case of a plan to its spec and `SolverConfig` for `run_plan` and the
+CLI's ``trace`` alike.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .driver import RunResult, SolverConfig, TraceRow, run
+from .driver import PURPOSES, RunResult, SolverConfig, TraceRow, run
 from .exceptions import MalformedInput, UnknownProblem
 from .models import HERMITE_KINDS, ModelKind
 from .problem import ObjectiveSpec
@@ -27,7 +33,7 @@ from .testbed import (
     mask_availability,
     second_order_closure,
 )
-from .yields import START_POINT, YIELD_MODES, yield_objective
+from .yields import MEAN_DIRECTIONS, START_POINT, YIELD_MODES, yield_objective
 
 RESULT_COLUMNS = (
     "problem",
@@ -65,68 +71,59 @@ SAMPLED_MASKS = 3
 
 @dataclass(frozen=True)
 class BenchCase:
-    """A registry entry the harness can run."""
+    """A registry entry: ``make_spec(mask, noise, seed, second_order)`` builds
+    one run's objective, ``reference_value(x)`` is the noiseless one, and
+    ``mask`` holds a yield case's fixed directions (None for test problems)."""
 
     name: str
     dimension: int
     x_start: np.ndarray
-    maskable: bool
+    make_spec: Callable[[tuple[int, ...], str, int, bool], ObjectiveSpec]
+    reference_value: Callable[[np.ndarray], float]
+    mask: tuple[int, ...] | None = None
     x_ref: np.ndarray | None = None
     f_ref: float | None = None
 
-    def make_spec(self, mask, noise: str, seed: int, second_order: bool) -> ObjectiveSpec:
-        raise NotImplementedError
-
-    def reference_value(self, x) -> float | None:
-        return None
-
-
-@dataclass(frozen=True)
-class _TestProblemCase(BenchCase):
-    def make_spec(self, mask, noise, seed, second_order):
-        problem = PROBLEMS[self.name]
-        pairs = second_order_closure(mask) if second_order else ()
-        spec = mask_availability(problem, mask, pairs)
-        amplitude = NOISE_AMPLITUDES[noise]
-        if amplitude > 0:
-            spec = add_noise(spec, amplitude, seed)
-        return spec
-
-    def reference_value(self, x):
-        return PROBLEMS[self.name].value(x)
+    def fixed_mask(self, kind: ModelKind) -> tuple[int, ...] | None:
+        """The mask of every run of this case with ``kind``; None when the
+        plan chooses it.  Derivative-free kinds declare no direction."""
+        if self.mask is not None:
+            return self.mask
+        return None if kind in HERMITE_KINDS else ()
 
 
-@dataclass(frozen=True)
-class _YieldCase(BenchCase):
-    mode: str = "nonoise"
-
-    def make_spec(self, mask, noise, seed, second_order):
-        # availability and noise are intrinsic to the yield mode
-        return yield_objective(self.mode, seed)
-
-    def reference_value(self, x):
-        return yield_objective("nonoise", 0).value(np.asarray(x, dtype=float))
+def _problem_spec(problem, mask, noise, seed, second_order) -> ObjectiveSpec:
+    pairs = second_order_closure(mask) if second_order else ()
+    spec = mask_availability(problem, mask, pairs)
+    amplitude = NOISE_AMPLITUDES[noise]
+    if amplitude > 0:
+        spec = add_noise(spec, amplitude, seed)
+    return spec
 
 
 def registry() -> dict[str, BenchCase]:
-    cases: dict[str, BenchCase] = {}
-    for name, problem in PROBLEMS.items():
-        cases[name] = _TestProblemCase(
+    cases = {
+        name: BenchCase(
             name=name,
             dimension=problem.dimension,
             x_start=problem.x_start,
-            maskable=True,
+            make_spec=partial(_problem_spec, problem),
+            reference_value=problem.value,
             x_ref=problem.x_opt,
             f_ref=problem.f_opt,
         )
+        for name, problem in PROBLEMS.items()
+    }
+    reference = yield_objective("nonoise", 0)
     for mode in YIELD_MODES:
-        name = f"yield-{mode}"
-        cases[name] = _YieldCase(
-            name=name,
-            dimension=4,
+        cases[f"yield-{mode}"] = BenchCase(
+            name=f"yield-{mode}",
+            dimension=reference.dimension,
             x_start=START_POINT,
-            maskable=False,
-            mode=mode,
+            # availability and noise are intrinsic to the yield mode
+            make_spec=lambda mask, noise, seed, second_order, mode=mode: yield_objective(mode, seed),
+            reference_value=reference.value,
+            mask=MEAN_DIRECTIONS,
         )
     return cases
 
@@ -145,7 +142,6 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class PlanCase:
-    index: int
     problem: str
     kind: ModelKind
     mask: tuple[int, ...]
@@ -188,10 +184,9 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
     for name in plan.problems:
         entry = cases[name]
         for kind in plan.kinds:
-            if not entry.maskable:
-                mask_set = [(1, 2)]  # yield cases fix their availability
-            elif kind not in HERMITE_KINDS:
-                mask_set = [()]
+            fixed = entry.fixed_mask(kind)
+            if fixed is not None:
+                mask_set = [fixed]
             else:
                 mask_set = [
                     mask
@@ -201,15 +196,7 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
                 ] or [()]
             for mask in mask_set:
                 for seed in plan.seeds:
-                    expanded.append(
-                        PlanCase(
-                            index=len(expanded),
-                            problem=name,
-                            kind=kind,
-                            mask=mask,
-                            seed=seed,
-                        )
-                    )
+                    expanded.append(PlanCase(problem=name, kind=kind, mask=mask, seed=seed))
     return expanded
 
 
@@ -223,7 +210,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
+def run_inputs(
+    case: PlanCase, plan: ExperimentPlan, entry: BenchCase
+) -> tuple[ObjectiveSpec, SolverConfig]:
+    """The spec and solver config of one run of a plan."""
     spec = entry.make_spec(case.mask, plan.noise, case.seed, plan.second_order)
     config = SolverConfig(
         kind=case.kind,
@@ -231,10 +221,13 @@ def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
         weighting=plan.weighting,
         second_order=plan.second_order,
     )
+    return spec, config
+
+
+def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
+    spec, config = run_inputs(case, plan, entry)
     result = run(spec, entry.x_start, config)
     f_final = entry.reference_value(result.x_best)
-    if f_final is None:
-        f_final = result.f_best
     x_gap = None
     success = None
     if entry.x_ref is not None:
@@ -364,9 +357,15 @@ def summarize(results_path: str | Path, out_path: str | Path) -> list[dict]:
 
 def trace_export(result: RunResult, path: str | Path) -> None:
     """Per-iteration trace as CSV, suitable for external plotting; a
-    field the iteration did not compute is an empty cell."""
+    field the iteration did not compute is an empty cell.  A run with no
+    trial step raises, naming its reason and evaluations per purpose."""
     if not result.trace:
-        raise ValueError("run produced an empty trace")
+        purposes = [purpose for purpose, _ in result.evaluation_log]
+        spent = ", ".join(f"{p} {purposes.count(p)}" for p in PURPOSES)
+        raise ValueError(
+            f"run produced an empty trace: no trial step before {result.reason.value} "
+            f"after {result.evaluations} evaluations ({spent})"
+        )
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_COLUMNS)

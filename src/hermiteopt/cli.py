@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .bench import ExperimentPlan, registry, run_plan, summarize, trace_export
-from .driver import SolverConfig, run
+from .bench import ExperimentPlan, PlanCase, registry, run_inputs, run_plan, summarize, trace_export
+from .driver import run
 from .exceptions import HermiteOptError, UnknownProblem
 from .models import ModelKind
 from .testbed import NOISE_AMPLITUDES
@@ -62,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    plan = ExperimentPlan(
+def _plan(args) -> ExperimentPlan:
+    return ExperimentPlan(
         problems=tuple(args.problems),
         kinds=tuple(ModelKind.parse(k) for k in args.kinds),
         kd_values=tuple(args.kd),
@@ -73,7 +74,10 @@ def _cmd_run(args) -> int:
         weighting=args.weighting,
         second_order=args.second_order,
     )
-    rows = run_plan(plan, args.out, workers=args.workers)
+
+
+def _cmd_run(args) -> int:
+    rows = run_plan(_plan(args), args.out, workers=args.workers)
     print(f"wrote {len(rows)} result rows to {args.out}")
     return 0
 
@@ -88,27 +92,22 @@ def _cmd_trace(args) -> int:
     for flag in ("problems", "kinds", "kd", "seed"):
         if len(getattr(args, flag)) > 1:
             raise ValueError(f"trace exports one run: --{flag} takes one value")
-    cases = registry()
-    if args.problems[0] not in cases:
+    entry = registry().get(args.problems[0])
+    if entry is None:
         raise UnknownProblem(f"unknown problem {args.problems[0]!r}")
-    entry = cases[args.problems[0]]
-    kind = ModelKind.parse(args.kinds[0])
+    plan = _plan(args)
+    mask = entry.fixed_mask(plan.kinds[0])
     if args.mask:
         mask = tuple(int(t) for t in args.mask.split(","))
-    else:
-        mask = tuple(range(1, args.kd[0] + 1)) if entry.maskable else ()
-    spec = entry.make_spec(mask, args.noise, args.seed[0], args.second_order)
-    config = SolverConfig(
-        kind=kind,
-        max_evaluations=args.budget,
-        weighting=args.weighting,
-        second_order=args.second_order,
-        model_error_diagnostic=args.diagnostic,
-    )
+    elif mask is None:
+        mask = tuple(range(1, args.kd[0] + 1))
+    case = PlanCase(problem=entry.name, kind=plan.kinds[0], mask=mask, seed=args.seed[0])
+    spec, config = run_inputs(case, plan, entry)
+    config = replace(config, model_error_diagnostic=args.diagnostic)
     result = run(spec, entry.x_start, config)
     trace_export(result, args.out)
     print(
-        f"{args.problems[0]} [{kind.value}]: f_best={result.f_best:.6g} "
+        f"{entry.name} [{case.kind.value}]: f_best={result.f_best:.6g} "
         f"evaluations={result.evaluations} reason={result.reason.value}; "
         f"trace written to {args.out}"
     )

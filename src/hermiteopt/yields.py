@@ -30,6 +30,7 @@ SIGMA = 0.7
 THRESHOLD = -24.0
 START_POINT = np.array([9.0, 5.0, 1.0, 1.0])
 START_YIELD = 0.428
+MEAN_DIRECTIONS = (1, 2)  # the uncertain means, whose derivatives are known
 
 _BASE_LEVEL = -30.0
 _BUMP = 8.0
@@ -197,7 +198,7 @@ def yield_objective(mode: str = "nonoise", seed: int = 0) -> ObjectiveSpec:
         dimension=4,
         value=value,
         bounds=BOUNDS,
-        availability=DerivativeAvailability(first_order=frozenset({1, 2})),
+        availability=DerivativeAvailability(first_order=MEAN_DIRECTIONS),
         derivative=derivative,
         name=f"yield-{mode}",
     )

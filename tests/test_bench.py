@@ -321,6 +321,17 @@ class TestCli:
         assert f"{flag} takes one value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_trace_error_names_the_reason_and_purposes(self, tmp_path, capsys):
+        # every evaluation after the initial set is a rank repair (ROADMAP direction 2)
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--problems", "zakharov10", "--kinds", "hermite-ls", "--kd", "5"]
+        assert main(argv + ["--budget", "200", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run produced an empty trace")
+        assert "budget-exhausted" in err and "200 evaluations" in err
+        assert "(init 24, trial 0, geometry 0, repair 176)" in err
+        assert not out.exists()
+
     def test_trace_kind_defaults_to_one(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["trace", "--problems", "sphere2", "--budget", "30", "--out", str(out)]) == 0
