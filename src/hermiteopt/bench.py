@@ -50,7 +50,9 @@ RESULT_COLUMNS = (
 )
 
 SUMMARY_COLUMNS = (
+    "problem",
     "n",
+    "noise",
     "kind",
     "kd",
     "runs",
@@ -203,11 +205,22 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         if math.isnan(value):
             return ""
         return format(value, ".17g")
     return str(value)
+
+
+def _write_csv(path: str | Path, columns: tuple[str, ...], rows) -> None:
+    """One header line, then each row's ``columns`` through `_fmt`."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def run_inputs(
@@ -241,7 +254,8 @@ def _run_case(case: PlanCase, plan: ExperimentPlan, entry: BenchCase) -> dict:
         "kd": case.kd,
         "mask": "|".join(str(i) for i in case.mask),
         "seed": case.seed,
-        "noise": plan.noise,
+        # a yield case adds no plan noise; its mode is in its name
+        "noise": plan.noise if entry.mask is None else "none",
         "evaluations": result.evaluations,
         "f_final": f_final,
         "x_gap": x_gap,
@@ -281,13 +295,7 @@ def run_plan(
             rows = list(pool.map(_run_planned, expanded, [plan] * len(expanded)))
     else:
         rows = [_run_planned(c, plan) for c in expanded]
-
-    out_path = Path(out_path)
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
+    _write_csv(out_path, RESULT_COLUMNS, rows)
     return rows
 
 
@@ -311,47 +319,40 @@ def _read_results(path: str | Path) -> list[dict]:
 
 
 def summarize(results_path: str | Path, out_path: str | Path) -> list[dict]:
-    """Group mean evaluation counts by (n, kind, kd) with percentage deltas
-    against the plain BOBYQA baseline of the same dimension."""
-    rows = _read_results(results_path)
+    """Group mean evaluation counts by (problem, noise, kind, kd), with
+    percentage deltas against the bobyqa group of the same problem and
+    noise."""
     groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault((row["n"], row["kind"], row["kd"]), []).append(row)
-
-    baseline: dict[int, float] = {}
-    for (n, kind, _), members in groups.items():
-        if kind == ModelKind.BOBYQA.value:
-            baseline[n] = float(np.mean([m["evaluations"] for m in members]))
+    for row in _read_results(results_path):
+        key = (row["n"], row["problem"], row["noise"], row["kind"], row["kd"])
+        groups.setdefault(key, []).append(row)
 
     out_rows = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        n, kind, kd = key
-        members = groups[key]
+    baseline: dict[tuple[str, str], float] = {}
+    # bobyqa sorts first among the kinds of one problem and noise
+    for (n, problem, noise, kind, kd), members in sorted(groups.items()):
         mean_evals = float(np.mean([m["evaluations"] for m in members]))
         flagged = [m["success"] for m in members if m["success"] != ""]
         success_rate = (
             float(np.mean([int(s) for s in flagged])) if flagged else None
         )
-        delta = None
-        if n in baseline and baseline[n] > 0:
-            delta = 100.0 * (mean_evals - baseline[n]) / baseline[n]
+        if kind == ModelKind.BOBYQA.value:
+            baseline[problem, noise] = mean_evals
+        base = baseline.get((problem, noise))
         out_rows.append(
             {
+                "problem": problem,
                 "n": n,
+                "noise": noise,
                 "kind": kind,
                 "kd": kd,
                 "runs": len(members),
                 "mean_evaluations": mean_evals,
                 "success_rate": success_rate,
-                "delta_vs_bobyqa_pct": delta,
+                "delta_vs_bobyqa_pct": 100.0 * (mean_evals - base) / base if base else None,
             }
         )
-
-    with Path(out_path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in out_rows:
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    _write_csv(out_path, SUMMARY_COLUMNS, out_rows)
     return out_rows
 
 
@@ -366,10 +367,4 @@ def trace_export(result: RunResult, path: str | Path) -> None:
             f"run produced an empty trace: no trial step before {result.reason.value} "
             f"after {result.evaluations} evaluations ({spent})"
         )
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for row in result.trace:
-            writer.writerow(
-                [int(row.accepted) if c == "accepted" else _fmt(getattr(row, c)) for c in TRACE_COLUMNS]
-            )
+    _write_csv(path, TRACE_COLUMNS, [vars(row) for row in result.trace])

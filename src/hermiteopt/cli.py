@@ -98,6 +98,9 @@ def _cmd_trace(args) -> int:
     plan = _plan(args)
     mask = entry.fixed_mask(plan.kinds[0])
     if args.mask:
+        if entry.mask is not None:
+            fixed = ",".join(map(str, entry.mask))
+            raise ValueError(f"{entry.name} runs with its fixed mask {fixed}; --mask does not apply")
         mask = tuple(int(t) for t in args.mask.split(","))
     elif mask is None:
         mask = tuple(range(1, args.kd[0] + 1))

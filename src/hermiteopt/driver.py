@@ -23,7 +23,6 @@ import numpy as np
 from . import _blas
 from .exceptions import (
     BudgetExhausted,
-    DegenerateModelDecrease,
     DuplicatePoint,
     NonFiniteValue,
     OracleError,
@@ -284,17 +283,6 @@ def resolve_model(spec: ObjectiveSpec, config: SolverConfig) -> tuple[ModelKind,
     if kind is ModelKind.BOBYQA and p1 == (n + 1) * (n + 2) // 2:
         kind = ModelKind.FULL_INTERP
     return kind, p1
-
-
-def predicted_decrease(f_old: float, m_old: float, m_new: float) -> float:
-    """Model-predicted decrease; raises DegenerateModelDecrease when it is
-    below the resolution of the objective value."""
-    decrease = m_old - m_new
-    if decrease <= 1e-15 * max(1.0, abs(f_old)):
-        raise DegenerateModelDecrease(
-            f"model decrease {decrease:.3e} is below resolution"
-        )
-    return decrease
 
 
 def _is_distinct(point: np.ndarray, points: np.ndarray) -> bool:
@@ -754,10 +742,10 @@ def step_iteration(
     if step_norm < STEP_TINY:
         return TerminationReason.STEP_SIZE_TINY
 
-    try:
-        decrease = predicted_decrease(f_opt, model.value(x_opt), model.value(x_opt + step))
-    except DegenerateModelDecrease:
-        # reject without spending the budget
+    decrease = model.value(x_opt) - model.value(x_opt + step)
+    if decrease <= 1e-15 * max(1.0, abs(f_opt)):
+        # below the resolution of the objective value: reject without
+        # spending the budget
         return _set_radius(state, GAMMA_DEC * delta, config)
 
     trial = spec.bounds.clip(x_opt + step)

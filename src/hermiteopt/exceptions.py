@@ -42,10 +42,6 @@ class RankDeficient(HermiteOptError):
     geometry needs repair before a model can be trusted."""
 
 
-class DegenerateModelDecrease(HermiteOptError):
-    """The subproblem produced no meaningful model decrease."""
-
-
 class UnknownProblem(HermiteOptError):
     """A benchmark problem name does not resolve in the registry."""
 

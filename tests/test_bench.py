@@ -7,6 +7,7 @@ import pytest
 from hermiteopt.bench import (
     ExperimentPlan,
     RESULT_COLUMNS,
+    SUMMARY_COLUMNS,
     expand_plan,
     run_plan,
     summarize,
@@ -185,12 +186,35 @@ class TestSummarize:
             members = [
                 int(r["evaluations"])
                 for r in raw
-                if int(r["n"]) == row["n"]
+                if r["problem"] == row["problem"]
+                and r["noise"] == row["noise"]
+                and int(r["n"]) == row["n"]
                 and r["kind"] == row["kind"]
                 and int(r["kd"]) == row["kd"]
             ]
             assert row["mean_evaluations"] == pytest.approx(np.mean(members))
             assert row["runs"] == len(members)
+
+    def test_groups_and_baselines_are_per_problem_and_noise(self, tmp_path):
+        # a yield case adds no plan noise, so its rows say none; each
+        # problem's groups compare with that problem's bobyqa group
+        res = tmp_path / "res.csv"
+        argv = ["run", "--problems", "yield-nonoise", "trid4", "--kinds", "bobyqa", "hermite-ls"]
+        assert main(argv + ["--noise", "low", "--budget", "100", "--out", str(res)]) == 0
+        with res.open() as fh:
+            raw = list(csv.DictReader(fh))
+        assert {(r["problem"], r["noise"]) for r in raw} == {("yield-nonoise", "none"), ("trid4", "low")}
+        rows = summarize(res, tmp_path / "sum.csv")
+        assert [(r["problem"], r["noise"], r["kind"], r["kd"], r["runs"], r["mean_evaluations"]) for r in rows] == [
+            ("trid4", "low", "bobyqa", 0, 1, 96.0),
+            ("trid4", "low", "hermite-ls", 1, 4, 84.5),
+            ("yield-nonoise", "none", "bobyqa", 2, 1, 67.0),
+            ("yield-nonoise", "none", "hermite-ls", 2, 1, 49.0),
+        ]
+        deltas = [r["delta_vs_bobyqa_pct"] for r in rows]
+        assert deltas == [0.0, pytest.approx(-11.979, abs=1e-3), 0.0, pytest.approx(-26.866, abs=1e-3)]
+        with (tmp_path / "sum.csv").open() as fh:
+            assert next(csv.reader(fh)) == list(SUMMARY_COLUMNS)
 
 
 class TestTraceExport:
@@ -332,6 +356,13 @@ class TestCli:
         assert "(init 24, trial 0, geometry 0, repair 176)" in err
         assert not out.exists()
 
+    def test_trace_mask_on_a_yield_case_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--problems", "yield-nonoise", "--kinds", "hermite-ls", "--mask", "1"]
+        assert main(argv + ["--budget", "40", "--out", str(out)]) == 1
+        assert "yield-nonoise runs with its fixed mask 1,2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_kind_defaults_to_one(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["trace", "--problems", "sphere2", "--budget", "30", "--out", str(out)]) == 0
@@ -361,15 +392,16 @@ class TestCli:
 
 
 class TestPinnedDigests:
-    """SHA-256 of two results CSVs with weighted rows, which no perfbench
-    workload runs.  The solver's results must not move by a bit; the
-    digests depend on the numpy and BLAS build, as perfbench's do."""
+    """SHA-256 of output CSVs: two results CSVs with weighted rows, which
+    no perfbench workload runs, the README's `run` example and two
+    traces.  The solver's results must not move by a bit; the digests
+    depend on the numpy and BLAS build, as perfbench's do."""
 
     PLANS = [
         (
             "--problems rosenbrock2 zakharov3 yield-lownoise --kinds hermite-ls hermite-bobyqa "
             "--kd 1 2 --noise low --seed 0 --budget 200 --weighting",
-            "29f7bf4bb75271a6260b0179d93aac654cae957ef7a6843349cf20dccdc43a8b",
+            "f9a6c800413f382a04a4b09f4e63e2626e82bb5c4c1d320124da9437909f877f",
         ),
         (
             "--problems rosenbrock2 zakharov3 trid4 --kinds hermite-ls "
@@ -382,4 +414,27 @@ class TestPinnedDigests:
     def test_weighted_plan_digest(self, tmp_path, flags, digest):
         out = tmp_path / "results.csv"
         assert main(["run", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "run --problems rosenbrock2 sphere5 --kinds bobyqa hermite-ls "
+                "--kd 1 2 --noise none --seed 0 1 2 --budget 500",
+                "1d7dca837c6b5dbefdf7dbf496563b4ddc9e4635ab12898260fa58f41d21b4b2",
+            ),
+            (
+                "trace --problems rosenbrock2 --kinds hermite-ls --kd 1 --seed 0 --budget 100",
+                "8041da7d78eacaaabf33a1f06cb50f507a5c242e6c205fb854a6db2d8a64d79c",
+            ),
+            (
+                "trace --problems yield-nonoise --kinds bobyqa --seed 0 --budget 100",
+                "c087673d826f7020f44c38cfe5d6d20024cb802b69fde4c795f3fd67c6a3b032",
+            ),
+        ],
+    )
+    def test_unweighted_output_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert main([*argv.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -23,11 +23,10 @@ from hermiteopt.driver import (
     initial_points,
     initialize,
     model_error_diagnostic,
-    predicted_decrease,
     resolve_model,
     run,
 )
-from hermiteopt.exceptions import BudgetExhausted, DegenerateModelDecrease, OutOfBounds
+from hermiteopt.exceptions import BudgetExhausted, OutOfBounds
 from hermiteopt.models import (
     RANK_TOLERANCE,
     QuadraticModel,
@@ -173,10 +172,20 @@ class TestTraceRowPerTrial:
 
 
 class TestPredictedDecrease:
-    def test_degenerate_decrease(self):
-        assert predicted_decrease(10.0, 10.0, 4.0) == 6.0
-        with pytest.raises(DegenerateModelDecrease):
-            predicted_decrease(1.0, 1.0, 1.0 - 1e-20)
+    def test_decrease_below_value_resolution_rejects_without_billing(self):
+        # every model decrease here is far below 1e-15 * 1e12, so each
+        # iteration shrinks the radius without a trial evaluation
+        spec = ObjectiveSpec(
+            dimension=2,
+            value=lambda x: 1e12 + 1e-4 * float(x @ x),
+            bounds=Bounds(np.full(2, -2.0), np.full(2, 2.0)),
+        )
+        config = SolverConfig(kind=ModelKind.FULL_INTERP, max_evaluations=50)
+        result = run(spec, np.array([1.0, 1.0]), config)
+        assert result.reason is TerminationReason.RADIUS_BELOW_MIN
+        assert [purpose for purpose, _ in result.evaluation_log] == ["init"] * 6
+        assert result.evaluations == 6 and result.iterations == 24
+        assert result.trace == []
 
 
 class TestRunBehavior:
