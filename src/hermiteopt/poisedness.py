@@ -18,32 +18,26 @@ maximum absolute polynomial value over a deterministic sample of the
 region, refined by a few steps of projected ascent.  It is a lower bound
 on the true constant.
 
-Choices screen with cheaper arithmetic first and settle second, in two
-ways.  A screen differs from a per-polynomial evaluation in the last
-bits, and symmetric samples hold exact ties, so a choice made on it
-alone could fall on the other side of a tie.
+A choice among columns (``estimate_lambda``, ``select_outgoing``) is the
+first argmax of the values the one matrix product gives, so ties go to
+the lowest index and a NaN column wins.
 
-* Choosing among columns (``estimate_lambda``, ``select_outgoing``):
-  every column whose screened maximum lies within a relative
-  ``TIE_RTOL`` of the best is evaluated again one polynomial at a time,
-  and the first polynomial, at its first point, with a strictly larger
-  value wins.
-* Choosing a row of the sample (the seed of ``propose_geometry_point``):
-  each screened value carries a rigorous bound on how far it can sit
-  from ``QuadraticModel.value_at``'s value.  A row that beats every
-  other row by more than both bounds is the exact first argmax; when
-  none does, ``value_at`` runs over the whole sample.  It is never
-  re-run on a subset, because its ``einsum`` rounds a row differently
-  depending on the rows around it.
+A choice of a row of the sample (the seed of ``propose_geometry_point``)
+screens first and settles second.  Each screened value carries a
+rigorous bound on how far it can sit from ``QuadraticModel.value_at``'s
+value.  A row that beats every other row by more than both bounds is the
+exact first argmax; when none does, ``value_at`` runs over the whole
+sample.  It is never re-run on a subset, because its ``einsum`` rounds a
+row differently depending on the rows around it.
 
-A third scheme skips work that cannot change a choice.  ``column_bounds``
-bounds every column's |value| over a region from its coefficient norms
-alone (proof in its docstring).  When no bound exceeds the driver's
-poisedness threshold, no estimate could either, so the set is certified
-well poised without a scan.  ``estimate_lambda`` screens its first block
-of rows with every column and then drops the columns whose bound lies
-clearly below the best value seen, since none of them can come within
-``TIE_RTOL`` of the top.
+A further scheme skips work that cannot change a choice.
+``column_bounds`` bounds every column's |value| over a region from its
+coefficient norms alone (proof in its docstring).  When no bound exceeds
+the driver's poisedness threshold, no estimate could either, so the set
+is certified well poised without a scan.  ``estimate_lambda`` screens its
+first block of rows with every column and then drops the columns whose
+bound lies clearly below the best value seen, since none of them can be
+the largest.
 """
 
 from __future__ import annotations
@@ -69,8 +63,6 @@ LAMBDA_SAMPLE_CAP = 10_000
 POLISH_STEPS = 5
 # sample rows per matrix product; keeps the value block near 0.5 MB
 GEMM_BLOCK = 512
-# screened values this close to the best are re-evaluated exactly
-TIE_RTOL = 1e-9
 # relative margin of ``column_bounds`` over every rounding it must absorb
 BOUND_RTOL = 1e-6
 # numpy sums rows shorter than this left to right (longer ones pairwise)
@@ -283,8 +275,7 @@ class LagrangeFamily:
         return QuadraticModel(
             center=self.center,
             c=float(self.constants[j]),
-            # contiguous, as BLAS rounds strided dot products differently
-            g=np.array(col[:n]),
+            g=col[:n],
             H=self.basis.unpack_hessian(col[n:]),
         )
 
@@ -431,29 +422,22 @@ def _polish_abs(poly: QuadraticModel, x0: np.ndarray, region: Region) -> tuple[n
     return x, best
 
 
-def _contenders(screened: np.ndarray) -> np.ndarray:
-    """Indices whose screened value may still be the exact maximum."""
-    top = np.max(screened)
-    return np.flatnonzero(screened >= top - TIE_RTOL * top)
-
-
 def estimate_lambda(family: LagrangeFamily, region: Region) -> PoisednessEstimate:
     """Lower bound on the poisedness constant over the region, from its
     default sample and ``POLISH_STEPS`` steps of polish.
 
     The largest |value| of each column comes from blocked matrix
-    products; the columns near the overall maximum are then evaluated
-    exactly, and the first of them with the largest value (at its first
-    maximizing point) seeds the polish.
+    products.  The first column with the largest of them is evaluated
+    exactly over the sample, and its first maximizing point seeds the
+    polish.  Ties go to the lowest index; a NaN column yields NaN.
 
     The first block screens every column.  The rest screen only the
     columns whose ``column_bounds`` entry is not below the best value so
     far by more than ``BOUND_RTOL``: a dropped column's computed values
-    stay below that best by about ``2 * BOUND_RTOL``, so it is never
-    within ``TIE_RTOL`` of the top, and the same column wins at the same
-    point.  The point columns sum to one everywhere, so the best value
-    is at least about one over their count, far from underflow.  A NaN
-    bound or best value drops nothing.
+    stay below that best, so it is never the largest, and the same
+    column wins.  The point columns sum to one everywhere, so the best
+    value is at least about one over their count, far from underflow.  A
+    NaN bound or best value drops nothing.
     """
     pts = region.sample()
     block = family.values(pts[:GEMM_BLOCK])
@@ -467,32 +451,20 @@ def estimate_lambda(family: LagrangeFamily, region: Region) -> PoisednessEstimat
             np.abs(block, out=block)
             np.maximum(top, np.max(block, axis=0), out=top)
         screened[kept] = top
-    lam = 0.0
-    best_poly = None
-    best_pt = None
-    for j in _contenders(screened):
-        poly = family.polynomial(j)
-        vals = np.abs(poly.value_at(pts))
-        k = int(np.argmax(vals))
-        if vals[k] > lam:
-            lam = float(vals[k])
-            best_poly, best_pt = poly, pts[k]
-    if best_poly is not None:
-        _, val = _polish_abs(best_poly, best_pt, region)
-        lam = max(lam, val)
-    return PoisednessEstimate(lam=lam)
+    poly = family.polynomial(int(np.argmax(screened)))
+    vals = np.abs(poly.value_at(pts))
+    k = int(np.argmax(vals))
+    _, val = _polish_abs(poly, pts[k], region)
+    return PoisednessEstimate(lam=max(float(vals[k]), val))
 
 
 def select_outgoing(family: LagrangeFamily, y_add: np.ndarray) -> int:
     """Index of the point whose Lagrange polynomial is largest (in absolute
-    value) at the candidate point; the incumbent is protected.  Ties go
-    to the lowest index."""
-    count = family.point_count
-    screened = np.abs(family.values(y_add, slice(0, count))[0])
-    screened[family.incumbent_index] = -np.inf
-    vals = np.full(count, -np.inf)
-    for j in _contenders(screened):
-        vals[j] = abs(family.polynomial(j).value(y_add))
+    value) at the candidate point, by the family's matrix product; the
+    incumbent is protected.  Ties go to the lowest index; a NaN column
+    wins."""
+    vals = np.abs(family.values(y_add, slice(0, family.point_count))[0])
+    vals[family.incumbent_index] = -np.inf
     return int(np.argmax(vals))
 
 

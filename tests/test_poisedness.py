@@ -28,7 +28,6 @@ from hermiteopt.poisedness import (
     PoisednessEstimate,
     Region,
     _ball_test_always_passes,
-    _contenders,
     _first_argmax_abs,
     _polish_abs,
     _unit_ball_draws,
@@ -182,6 +181,24 @@ class TestSelectOutgoing:
             select_outgoing(family, ts.incumbent_record.point)
             != family.incumbent_index
         )
+
+    def test_nan_column_never_picks_the_incumbent(self):
+        # a NaN column wins the argmax; the incumbent stays protected and
+        # the estimate reports NaN, never a perfectly poised 0
+        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]
+        ts = build_training_set(points, lambda x: float(points.index(list(x))))
+        family = lagrange_family(assemble_full_interp(ts))
+        assert family.incumbent_index == 0
+        clean = select_outgoing(family, np.array([0.3, 0.2]))
+        region = Region(family.center, 1.0, Bounds.unbounded(2))
+        for j in range(family.point_count):
+            coeffs = family.coeffs.copy()
+            coeffs[0, j] = np.nan
+            poisoned = LagrangeFamily(family.center, coeffs, family.constants, 0)
+            for y in ([0.3, 0.2], [-0.7, 0.4], [0.0, 0.0]):
+                assert select_outgoing(poisoned, np.array(y)) != 0
+            assert select_outgoing(poisoned, np.array([0.3, 0.2])) == (j or clean)
+            assert np.isnan(estimate_lambda(poisoned, region).lam)
 
 
 class TestProposeGeometry:
@@ -422,8 +439,13 @@ def symmetric_family(points, directions=(), delta=None):
 class TestExactTies:
     """Symmetric sets on symmetric grids hold exact ties, where the one
     matrix product and the per-polynomial evaluation can disagree in the
-    last bit.  Every choice must be the per-polynomial one: first
-    polynomial, then first point, with a strictly larger value."""
+    last bit.  Two choices are per-polynomial: the row of the sample that
+    seeds a proposal, and the row at which the estimate's column peaks
+    (first point with a strictly larger ``value_at``).  The choice among
+    columns is the first argmax of the matrix product, in the estimate
+    and in ``select_outgoing``; on these sets the estimate's column is
+    also the first polynomial with the largest value, and the outgoing
+    polynomial's own value lies within 1e-12 relative of the largest."""
 
     CROSS = [[0.0, 0.0], [1.3, 0.0], [-1.3, 0.0], [0.0, 0.5], [0.0, -0.5]]
     CORNERS = [[0.0, 0.0], [0.9, 0.8], [-0.9, 0.8], [0.9, -0.8], [-0.9, -0.8]]
@@ -458,9 +480,13 @@ class TestExactTies:
     def test_select_outgoing_matches_brute_force(self, points, directions, delta, radius):
         family = symmetric_family(points, directions, delta)
         for y in Region(np.zeros(2), 1.5, Bounds.unbounded(2)).sample(41):
-            vals = np.array([abs(p.value(y)) for p in family.point_polys])
-            vals[family.incumbent_index] = -np.inf
-            assert select_outgoing(family, y) == int(np.argmax(vals))
+            screened = np.abs(family.values(y, slice(0, family.point_count))[0])
+            screened[family.incumbent_index] = -np.inf
+            exact = np.array([abs(p.value(y)) for p in family.point_polys])
+            exact[family.incumbent_index] = -np.inf
+            j = select_outgoing(family, y)
+            assert j == int(np.argmax(screened))
+            assert exact[j] >= np.max(exact) * (1 - 1e-12)
 
     @pytest.mark.parametrize("points, directions, delta, radius", CASES)
     @pytest.mark.parametrize("per_axis", [9, 21])
@@ -850,20 +876,11 @@ def reference_estimate_lambda(family, region):
         block = family.values(pts[start : start + GEMM_BLOCK])
         np.abs(block, out=block)
         np.maximum(screened, np.max(block, axis=0), out=screened)
-    lam = 0.0
-    best_poly = None
-    best_pt = None
-    for j in _contenders(screened):
-        poly = family.polynomial(j)
-        vals = np.abs(poly.value_at(pts))
-        k = int(np.argmax(vals))
-        if vals[k] > lam:
-            lam = float(vals[k])
-            best_poly, best_pt = poly, pts[k]
-    if best_poly is not None:
-        _, val = _polish_abs(best_poly, best_pt, region)
-        lam = max(lam, val)
-    return PoisednessEstimate(lam=lam)
+    poly = family.polynomial(int(np.argmax(screened)))
+    vals = np.abs(poly.value_at(pts))
+    k = int(np.argmax(vals))
+    _, val = _polish_abs(poly, pts[k], region)
+    return PoisednessEstimate(lam=max(float(vals[k]), val))
 
 
 KINDS = (ModelKind.FULL_INTERP, ModelKind.BOBYQA, ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA)
@@ -1009,5 +1026,5 @@ class TestPrunedScreen:
         poisoned = LagrangeFamily(family.center, coeffs, constants, family.incumbent_index, family.row_blocks)
         region = Region(family.center, 0.5, Bounds.unbounded(4))
         assert len(region.sample()) > GEMM_BLOCK
-        expected = reference_estimate_lambda(poisoned, region).lam
-        assert estimate_lambda(poisoned, region).lam == expected
+        assert np.isnan(reference_estimate_lambda(poisoned, region).lam)
+        assert np.isnan(estimate_lambda(poisoned, region).lam)
