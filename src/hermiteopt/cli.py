@@ -101,6 +101,8 @@ def _cmd_trace(args) -> int:
         if entry.mask is not None:
             fixed = ",".join(map(str, entry.mask))
             raise ValueError(f"{entry.name} runs with its fixed mask {fixed}; --mask does not apply")
+        if mask is not None:
+            raise ValueError(f"{plan.kinds[0].value} runs with no derivative direction; --mask does not apply")
         mask = tuple(int(t) for t in args.mask.split(","))
     elif mask is None:
         mask = tuple(range(1, args.kd[0] + 1))

@@ -7,6 +7,10 @@ point by the ratio of actual to predicted decrease.  Accepted points
 replace the training point whose Lagrange polynomial is largest at the
 trial; rejected steps shrink the radius and may trigger a geometry
 improvement evaluation when the poisedness estimate is poor.
+
+Only ``initialize`` and ``step_iteration`` bill evaluations; the rank
+repair and the geometry step only propose a point and the index it
+replaces.  An evaluation that ends the run raises ``_Stop``, caught in ``run``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from . import _blas
 from .exceptions import (
     BudgetExhausted,
     DuplicatePoint,
-    NonFiniteValue,
-    OracleError,
+    HermiteOptError,
     OutOfBounds,
     RankDeficient,
 )
@@ -178,16 +181,26 @@ class IterationState:
     kind: ModelKind
 
 
+class _Stop(HermiteOptError):
+    """Ends a run from inside ``Evaluator``; an oracle's exception is the cause."""
+
+    def __init__(self, reason: TerminationReason):
+        self.reason = reason
+
+
+class _BudgetStop(_Stop, BudgetExhausted):
+    """The budget's stop, still a ``BudgetExhausted`` to ``Evaluator``'s caller."""
+
+
 class Evaluator:
     """Bills evaluations, tracks the best recorded value and logs each
     evaluation's purpose with the best value after it.
 
-    A record with a non-finite value or derivative entry is billed and
-    logged but never becomes the best; it then raises NonFiniteValue,
-    which ends the run.  So does an
-    exception from the objective's callables, raised again as
-    OracleError; the solver's own BudgetExhausted and OutOfBounds, raised
-    before the call is billed, pass through unchanged.
+    Each way an evaluation ends the run raises ``_Stop`` with its reason:
+    a non-finite value or derivative entry (``NONFINITE_VALUE``; billed
+    and logged, never the best), a raising callable (``ORACLE_ERROR``;
+    billed and logged) or an exhausted budget (``BUDGET_EXHAUSTED``;
+    unbilled).  The solver's own ``OutOfBounds`` passes through unbilled.
     """
 
     def __init__(self, spec: ObjectiveSpec, budget: EvaluationBudget):
@@ -200,11 +213,13 @@ class Evaluator:
     def __call__(self, x: np.ndarray, purpose: str):
         try:
             rec = evaluate(self.spec, x, self.budget)
-        except (BudgetExhausted, OutOfBounds):
+        except OutOfBounds:
             raise
+        except BudgetExhausted:
+            raise _BudgetStop(TerminationReason.BUDGET_EXHAUSTED) from None
         except Exception as exc:
             self.log.append((purpose, self.best_value))
-            raise OracleError(f"oracle raised at {x}") from exc
+            raise _Stop(TerminationReason.ORACLE_ERROR) from exc
         entries = (rec.value, *rec.gradient.values(), *rec.second.values())
         finite = all(map(math.isfinite, entries))
         if finite and rec.value < self.best_value:
@@ -212,7 +227,7 @@ class Evaluator:
             self.best_point = rec.point
         self.log.append((purpose, self.best_value))
         if not finite:
-            raise NonFiniteValue(f"non-finite value or derivative at {rec.point}: {entries}")
+            raise _Stop(TerminationReason.NONFINITE_VALUE)
         return rec
 
     @property
@@ -567,9 +582,9 @@ def _point_leverage(sys, point_count: int) -> np.ndarray:
     return totals[:point_count]
 
 
-def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
-    """Swap one point of ``state.ts`` for a fresh geometry point near the
-    incumbent.
+def _propose_repair(state, spec, sys_scaled, skip=()):
+    """A fresh geometry point near the incumbent, and the training index
+    it should replace.
 
     A rank-deficient system has no Lagrange polynomials, so the repair
     point comes from candidate directions (the least-covered direction
@@ -579,8 +594,9 @@ def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
     cover the system's null space wins (``_best_candidate``).  A stale
     set (points far outside the trust ball, which wrecks the scaled
     system's conditioning) loses its farthest point; otherwise the most
-    redundant point goes.  Returns the replaced index, or None when no distinct
-    feasible candidate exists.
+    redundant point goes; ``skip`` holds indices no longer to be
+    replaced.  Returns ``(index, point)``, or None when no index is left
+    or no distinct feasible candidate exists.
     """
     ts, delta = state.ts, state.radius
     x_opt = ts.incumbent_record.point
@@ -597,19 +613,14 @@ def _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=()):
     directions = np.vstack([Vt[-1], -Vt[-1], _pair_directions(ts.dimension)])
     if state.kind in FROBENIUS_KINDS:
         pick = _first_distinct(x_opt, delta, directions, spec.bounds, ts.points)
-        if pick is None:
-            return None
-    else:
-        for scale in REPAIR_SCALES:
-            candidates = spec.bounds.clip(x_opt + scale * delta * directions)
-            candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
-            if len(candidates):
-                break
-        else:
-            return None
-        pick = candidates[_best_candidate(sys_scaled, _null_basis(sys_scaled), candidates, delta)]
-    state.ts = ts.replace(target, evaluator(pick, "repair"))
-    return target
+        return None if pick is None else (target, pick)
+    for scale in REPAIR_SCALES:
+        candidates = spec.bounds.clip(x_opt + scale * delta * directions)
+        candidates = candidates[~np.any(rows_equal(ts.points, candidates), axis=1)]
+        if len(candidates):
+            best = _best_candidate(sys_scaled, _null_basis(sys_scaled), candidates, delta)
+            return target, candidates[best]
+    return None
 
 
 def model_error_diagnostic(
@@ -644,9 +655,9 @@ def model_error_diagnostic(
     return float((2.0 * h) ** center.size * mean_sq)
 
 
-def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=None):
-    """One geometry-improvement evaluation when the set is badly poised on
-    the current ball or has gone stale (points far outside it).
+def _propose_geometry(state, spec, config, delta, sys_now=None):
+    """A geometry-improvement point when the set is badly poised on the
+    current ball or has gone stale (points far outside it).
 
     Works from the current training set, which may already contain the
     just-accepted trial point.  ``sys_now`` is the unweighted scaled
@@ -656,8 +667,10 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
 
     A set whose Lagrange column bounds all lie within the threshold is
     well poised without an estimate: the estimate never exceeds the
-    largest bound.  Returns the estimate and that bound, each NaN when
-    not computed.
+    largest bound.  Returns ``(proposal, lam, lam_bound)``: ``proposal``
+    is the farthest point's index and the distinct point to evaluate in
+    its place, or None; the estimate and that bound are NaN when not
+    computed.
     """
     lam = lam_bound = math.nan
     try:
@@ -675,12 +688,12 @@ def _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_now=Non
             if not lam_bound <= LAMBDA_THRESHOLD:
                 lam = estimate_lambda(family, region).lam
         if stale or lam > LAMBDA_THRESHOLD:
-            proposal = propose_geometry_point(family, far, region)
-            if _is_distinct(proposal, state.ts.points):
-                state.ts = state.ts.replace(far, evaluator(proposal, "geometry"))
+            point = propose_geometry_point(family, far, region)
+            if _is_distinct(point, state.ts.points):
+                return (far, point), lam, lam_bound
     except RankDeficient:
         pass
-    return lam, lam_bound
+    return None, lam, lam_bound
 
 
 def _set_radius(state: IterationState, radius: float, config: SolverConfig) -> TerminationReason | None:
@@ -716,9 +729,11 @@ def step_iteration(
         except RankDeficient:
             if attempt == max_repairs:
                 break
-            target = _repair_rank_deficiency(state, spec, evaluator, sys_scaled, skip=repaired)
-            if target is None:
+            proposal = _propose_repair(state, spec, sys_scaled, skip=repaired)
+            if proposal is None:
                 break
+            target, point = proposal
+            state.ts = state.ts.replace(target, evaluator(point, "repair"))
             repaired.add(target)
     if model is None:
         # geometry repair failed to restore rank; shrink and try again
@@ -790,20 +805,26 @@ def step_iteration(
         replaced=replaced,
     )
     trace.append(row)
-    try:
-        # a crawl of tiny accepted steps never rejects, so it would never
-        # reach the geometry check below; bad geometry sustains exactly
-        # that pattern by freezing the model transverse to the crawl
-        if accepted and step_norm < 0.1 * delta:
-            row.lam, row.lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta)
-        # a trial that changed nothing means the function is flat at this
-        # resolution; fresh geometry points would all repeat that value
-        elif not accepted and rec.value != f_opt:
-            # the training set is unchanged, so this iteration's system and
-            # its factorization still describe it
-            row.lam, row.lam_bound = _improve_geometry_if_poor(state, spec, config, evaluator, delta, sys_scaled)
-    finally:
-        row.evaluations, row.f_best = evaluator.used, evaluator.best_value
+    # a crawl of tiny accepted steps never rejects, so it would never
+    # reach the geometry check below; bad geometry sustains exactly
+    # that pattern by freezing the model transverse to the crawl
+    if accepted and step_norm < 0.1 * delta:
+        proposal, lam, lam_bound = _propose_geometry(state, spec, config, delta)
+    # a trial that changed nothing means the function is flat at this
+    # resolution; fresh geometry points would all repeat that value
+    elif not accepted and rec.value != f_opt:
+        # the training set is unchanged, so this iteration's system and
+        # its factorization still describe it
+        proposal, lam, lam_bound = _propose_geometry(state, spec, config, delta, sys_scaled)
+    else:
+        return stop
+    if proposal is not None:
+        far, point = proposal
+        try:
+            state.ts = state.ts.replace(far, evaluator(point, "geometry"))
+        finally:
+            row.evaluations, row.f_best = evaluator.used, evaluator.best_value
+    row.lam, row.lam_bound = lam, lam_bound
     return stop
 
 
@@ -834,13 +855,8 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
             state = initialize(spec, x0, config, evaluator)
             while reason is None:
                 reason = step_iteration(state, spec, config, evaluator, trace)
-        except BudgetExhausted:
-            reason = TerminationReason.BUDGET_EXHAUSTED
-        except NonFiniteValue:
-            reason = TerminationReason.NONFINITE_VALUE
-        except OracleError as exc:
-            reason = TerminationReason.ORACLE_ERROR
-            error = exc.__cause__
+        except _Stop as stop:
+            reason, error = stop.reason, stop.__cause__
     return RunResult(
         x_best=evaluator.best_point,
         f_best=evaluator.best_value,

@@ -49,11 +49,3 @@ class UnknownProblem(HermiteOptError):
 class MalformedInput(HermiteOptError):
     """A results or plan file cannot be parsed."""
 
-
-class NonFiniteValue(HermiteOptError):
-    """The objective returned NaN or an infinite value."""
-
-
-class OracleError(HermiteOptError):
-    """An objective or derivative callable raised; the exception it raised
-    is the cause."""

@@ -363,6 +363,15 @@ class TestCli:
         assert "yield-nonoise runs with its fixed mask 1,2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["bobyqa", "full-interp"])
+    def test_trace_mask_on_a_derivative_free_kind_is_an_error(self, tmp_path, capsys, kind):
+        # the run would call the derivative oracle and never read it
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--problems", "rosenbrock2", "--kinds", kind, "--mask", "2"]
+        assert main(argv + ["--budget", "100", "--out", str(out)]) == 1
+        assert f"{kind} runs with no derivative direction; --mask does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_kind_defaults_to_one(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["trace", "--problems", "sphere2", "--budget", "30", "--out", str(out)]) == 0

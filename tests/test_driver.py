@@ -755,8 +755,60 @@ class TestLambdaCertificate:
         monkeypatch.setattr(
             driver, "estimate_lambda", lambda family, region: estimates.append(1) or PoisednessEstimate(0.0)
         )
-        lam, lam_bound = driver._improve_geometry_if_poor(state, spec, config, evaluator, state.radius)
+        _, lam, lam_bound = driver._propose_geometry(state, spec, config, state.radius)
         assert estimates == [1] and lam == 0.0 and np.isnan(lam_bound)
+
+
+class TestProposers:
+    """The rank repair and the geometry step propose on a crafted state,
+    with no evaluator, and leave the training set as it was."""
+
+    CROSS = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.1), (-0.1, 0.0), (0.0, -0.1), (0.07, 0.07)]
+    LINE = [(0.0, 0.0), (0.02, 0.0), (0.04, 0.0), (0.06, 0.0), (0.08, 0.0), (0.1, 0.0)]
+
+    @staticmethod
+    def state(points, radius=0.1):
+        """A full-interp state of sphere2 on ``points``; the origin, first,
+        is the incumbent."""
+        problem, spec = spec_for("sphere2")
+        ts = build_training_set(points, problem.value)
+        state = driver.IterationState(0, ts, radius, np.zeros((2, 2)), radius, ModelKind.FULL_INTERP)
+        return spec, state
+
+    def test_rank_deficient_set_gets_no_geometry_point(self):
+        spec, state = self.state(self.LINE)
+        ts = state.ts
+        proposal, lam, lam_bound = driver._propose_geometry(state, spec, SolverConfig(), state.radius)
+        assert proposal is None and np.isnan(lam) and np.isnan(lam_bound)
+        assert state.ts is ts
+
+    def test_stale_set_proposes_for_the_farthest_point(self):
+        far = 5
+        points = list(self.CROSS)
+        points[far] = (1.0, 0.5)  # beyond STALE_FACTOR radii
+        spec, state = self.state(points)
+        ts = state.ts
+        proposal, lam, lam_bound = driver._propose_geometry(state, spec, SolverConfig(), state.radius)
+        index, point = proposal
+        assert index == far and np.isnan(lam) and np.isnan(lam_bound)
+        assert np.linalg.norm(point) <= state.radius * (1 + 1e-12)
+        assert not np.any(rows_equal(ts.points, point))
+        assert state.ts is ts
+
+    def test_repair_proposes_a_distinct_point_for_a_non_incumbent(self):
+        spec, state = self.state(self.LINE)
+        ts = state.ts
+        sys = apply_scaling(driver._assemble(state, spec), state.radius)
+        index, point = driver._propose_repair(state, spec, sys)
+        assert index != ts.incumbent_index and point[1] != 0.0
+        assert not np.any(rows_equal(ts.points, point)) and spec.bounds.contains(point)
+        assert state.ts is ts
+
+    def test_repair_proposes_nothing_when_every_index_is_skipped(self):
+        spec, state = self.state(self.LINE)
+        sys = apply_scaling(driver._assemble(state, spec), state.radius)
+        skip = set(range(state.ts.size)) - {state.ts.incumbent_index}
+        assert driver._propose_repair(state, spec, sys, skip=skip) is None
 
 
 class TestReachableStates:
