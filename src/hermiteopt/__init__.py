@@ -38,7 +38,6 @@ from .poisedness import (
 from .problem import (
     Bounds,
     DerivativeAvailability,
-    EvaluationBudget,
     EvaluationRecord,
     ObjectiveSpec,
     TaylorReference,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bounds",
     "DerivativeAvailability",
-    "EvaluationBudget",
     "EvaluationRecord",
     "LagrangeFamily",
     "ModelKind",

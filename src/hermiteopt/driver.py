@@ -8,9 +8,11 @@ replace the training point whose Lagrange polynomial is largest at the
 trial; rejected steps shrink the radius and may trigger a geometry
 improvement evaluation when the poisedness estimate is poor.
 
-Only ``initialize`` and ``step_iteration`` bill evaluations; the rank
-repair and the geometry step only propose a point and the index it
-replaces.  An evaluation that ends the run raises ``_Stop``, caught in ``run``.
+Only ``initialize`` and ``step_iteration`` bill evaluations, through the
+``Evaluator``, which alone counts them against the budget and calls
+``evaluate`` once per billed evaluation; the rank repair and the geometry
+step only propose a point and the index it replaces.  An evaluation that
+ends the run raises ``_Stop``, caught in ``run``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _blas
-from .exceptions import (
-    BudgetExhausted,
-    DuplicatePoint,
-    HermiteOptError,
-    OutOfBounds,
-    RankDeficient,
-)
+from .exceptions import DuplicatePoint, HermiteOptError, OutOfBounds, RankDeficient
 from .models import (
     FROBENIUS_KINDS,
     HERMITE_KINDS,
@@ -54,7 +50,6 @@ from .poisedness import (
     select_outgoing,
 )
 from .problem import (
-    EvaluationBudget,
     ObjectiveSpec,
     TaylorReference,
     TrainingSet,
@@ -188,38 +183,40 @@ class _Stop(HermiteOptError):
         self.reason = reason
 
 
-class _BudgetStop(_Stop, BudgetExhausted):
-    """The budget's stop, still a ``BudgetExhausted`` to ``Evaluator``'s caller."""
-
-
 class Evaluator:
-    """Bills evaluations, tracks the best recorded value and logs each
-    evaluation's purpose with the best value after it.
+    """The run's one budget owner: bills evaluations, tracks the best
+    recorded value and logs each evaluation's purpose with the best value
+    after it.
 
-    Each way an evaluation ends the run raises ``_Stop`` with its reason:
-    a non-finite value or derivative entry (``NONFINITE_VALUE``; billed
-    and logged, never the best), a raising callable (``ORACLE_ERROR``;
-    billed and logged) or an exhausted budget (``BUDGET_EXHAUSTED``;
-    unbilled).  The solver's own ``OutOfBounds`` passes through unbilled.
+    Each way an evaluation ends the run raises ``_Stop`` with its reason.
+    At ``max_evaluations`` it refuses before any oracle call
+    (``BUDGET_EXHAUSTED``; unbilled, unlogged).  A call that reaches an
+    oracle is billed and logged, also when it ends the run: a non-finite
+    value or derivative entry (``NONFINITE_VALUE``; never the best) or a
+    raising callable (``ORACLE_ERROR``).  The solver's own ``OutOfBounds``
+    passes through unbilled.
     """
 
-    def __init__(self, spec: ObjectiveSpec, budget: EvaluationBudget):
+    def __init__(self, spec: ObjectiveSpec, max_evaluations: int):
         self.spec = spec
-        self.budget = budget
+        self.max_evaluations = max_evaluations
+        self.used = 0
         self.best_value = math.inf
         self.best_point: np.ndarray | None = None
         self.log: list[tuple[str, float]] = []
 
     def __call__(self, x: np.ndarray, purpose: str):
+        if self.used >= self.max_evaluations:
+            raise _Stop(TerminationReason.BUDGET_EXHAUSTED)
         try:
-            rec = evaluate(self.spec, x, self.budget)
+            rec = evaluate(self.spec, x)
         except OutOfBounds:
             raise
-        except BudgetExhausted:
-            raise _BudgetStop(TerminationReason.BUDGET_EXHAUSTED) from None
         except Exception as exc:
+            self.used += 1
             self.log.append((purpose, self.best_value))
             raise _Stop(TerminationReason.ORACLE_ERROR) from exc
+        self.used += 1
         entries = (rec.value, *rec.gradient.values(), *rec.second.values())
         finite = all(map(math.isfinite, entries))
         if finite and rec.value < self.best_value:
@@ -229,10 +226,6 @@ class Evaluator:
         if not finite:
             raise _Stop(TerminationReason.NONFINITE_VALUE)
         return rec
-
-    @property
-    def used(self) -> int:
-        return self.budget.evaluations_used
 
 
 def _unreachable_columns(n: int, directions, pairs) -> int:
@@ -844,8 +837,7 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
     if spec.availability.pairs and not (config.kind is ModelKind.HERMITE_LS and config.second_order):
         avail = dataclasses.replace(spec.availability, second_order=frozenset())
         spec = dataclasses.replace(spec, availability=avail)
-    budget = EvaluationBudget(config.max_evaluations)
-    evaluator = Evaluator(spec, budget)
+    evaluator = Evaluator(spec, config.max_evaluations)
     trace: list[TraceRow] = []
     reason = None
     state = None

@@ -9,10 +9,6 @@ class OutOfBounds(HermiteOptError):
     """A point violates the box constraints."""
 
 
-class BudgetExhausted(HermiteOptError):
-    """The evaluation budget does not admit another objective call."""
-
-
 class DuplicatePoint(HermiteOptError):
     """A point coincides (up to tolerance) with one already stored."""
 

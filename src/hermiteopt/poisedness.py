@@ -27,8 +27,8 @@ screens first and settles second.  Each screened value carries a
 rigorous bound on how far it can sit from ``QuadraticModel.value_at``'s
 value.  A row that beats every other row by more than both bounds is the
 exact first argmax; when none does, ``value_at`` runs over the whole
-sample.  It is never re-run on a subset, because its ``einsum`` rounds a
-row differently depending on the rows around it.
+sample.  It is never re-run on a subset, because its ``einsum`` can round
+a row differently depending on the rows around it (seen at n = 2).
 
 A further scheme skips work that cannot change a choice.
 ``column_bounds`` bounds every column's |value| over a region from its

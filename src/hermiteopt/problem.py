@@ -3,6 +3,9 @@
 Direction indices are 1-based throughout the public API: direction ``i``
 refers to the variable ``x_i`` with ``1 <= i <= n``.  Second-order entries
 are index pairs ``(i, j)`` stored with ``i <= j``.
+
+Nothing here counts evaluations: :func:`evaluate` only calls the oracles,
+and the driver's ``Evaluator`` owns the budget.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import BudgetExhausted, DuplicatePoint, EmptySet, OutOfBounds
+from .exceptions import DuplicatePoint, EmptySet, OutOfBounds
 
 Vector = np.ndarray
 
@@ -164,21 +167,6 @@ class EvaluationRecord:
         object.__setattr__(self, "point", pt)
 
 
-@dataclass
-class EvaluationBudget:
-    """Counts billed objective calls against a hard maximum."""
-
-    max_evaluations: int
-    evaluations_used: int = 0
-
-    def charge(self) -> None:
-        if self.evaluations_used >= self.max_evaluations:
-            raise BudgetExhausted(
-                f"budget of {self.max_evaluations} evaluations exhausted"
-            )
-        self.evaluations_used += 1
-
-
 def _entries(oracle, x: Vector, labels: tuple) -> dict:
     """One oracle call keyed by ``labels`` (no call without labels); any
     shape but one entry per label raises ValueError."""
@@ -190,17 +178,16 @@ def _entries(oracle, x: Vector, labels: tuple) -> dict:
     return dict(zip(labels, entries.tolist()))
 
 
-def evaluate(spec: ObjectiveSpec, x: Vector, budget: EvaluationBudget) -> EvaluationRecord:
+def evaluate(spec: ObjectiveSpec, x: Vector) -> EvaluationRecord:
     """Evaluate the objective at ``x`` and collect every available derivative.
 
     Calls ``value``, then ``derivative`` and ``second_derivative`` once
-    each when they have entries.  Bills one objective call; derivatives
-    are free, matching the premise that known derivatives come cheap.
+    each when they have entries.  Counts nothing: the solver's
+    ``Evaluator`` bills the call, one per point, derivatives included.
     """
     x = np.asarray(x, dtype=float)
     if not spec.bounds.contains(x):
         raise OutOfBounds(f"point {x} violates bounds")
-    budget.charge()
     value = float(spec.value(x))
     gradient = _entries(spec.derivative, x, spec.availability.directions)
     second = _entries(spec.second_derivative, x, spec.availability.pairs)

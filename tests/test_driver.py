@@ -26,7 +26,7 @@ from hermiteopt.driver import (
     resolve_model,
     run,
 )
-from hermiteopt.exceptions import BudgetExhausted, OutOfBounds
+from hermiteopt.exceptions import OutOfBounds, RankDeficient
 from hermiteopt.models import (
     RANK_TOLERANCE,
     QuadraticModel,
@@ -37,7 +37,6 @@ from hermiteopt.models import (
 from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_lambda, lagrange_family
 from hermiteopt.problem import (
     Bounds,
-    EvaluationBudget,
     ObjectiveSpec,
     TaylorReference,
     TrainingSet,
@@ -85,12 +84,11 @@ class TestInitialization:
 
     def test_initialize_evaluates_and_bills(self):
         problem, spec = spec_for("sphere2")
-        budget = EvaluationBudget(100)
-        ev = Evaluator(spec, budget)
+        ev = Evaluator(spec, 100)
         config = SolverConfig(kind=ModelKind.BOBYQA)
         state = initialize(spec, problem.x_start, config, ev)
         assert state.ts.size == 5
-        assert budget.evaluations_used == 5
+        assert ev.used == 5
         assert state.radius == pytest.approx(0.1 * max(1.0, np.max(np.abs(problem.x_start))))
 
     def test_out_of_bounds_start(self):
@@ -100,7 +98,7 @@ class TestInitialization:
                 spec,
                 np.array([50.0, 0.0]),
                 SolverConfig(),
-                Evaluator(spec, EvaluationBudget(10)),
+                Evaluator(spec, 10),
             )
 
     NARROW = Bounds(np.array([5.0, 0.0]), np.array([13.0, 0.5]))
@@ -113,7 +111,7 @@ class TestInitialization:
         spec = dataclasses.replace(mask_availability(problem, {1}), bounds=self.NARROW)
         x0 = np.array([9.0, 0.25])
         config = SolverConfig(kind=kind, max_evaluations=60)
-        state = initialize(spec, x0, config, Evaluator(spec, EvaluationBudget(60)))
+        state = initialize(spec, x0, config, Evaluator(spec, 60))
         assert state.radius == state.initial_radius == 0.25
         cross = {tuple(x0)} | {tuple(x0 + 0.25 * sign * e) for e in np.eye(2) for sign in (1, -1)}
         head = {tuple(p) for p in state.ts.points[:5]}
@@ -679,12 +677,15 @@ class TestOracleErrors:
 
     def test_solver_exceptions_pass_through_unbilled(self):
         problem, spec, calls = oracle_spec("value", 0, None)
-        evaluator = Evaluator(spec, EvaluationBudget(1))
+        evaluator = Evaluator(spec, 1)
         with pytest.raises(OutOfBounds):
             evaluator(problem.bounds.upper + 1.0, "trial")
         evaluator(problem.x_start, "init")
-        with pytest.raises(BudgetExhausted):
-            evaluator(problem.x_start, "trial")
+        # the limit is checked before the box, and refuses before any call
+        for x in (problem.x_start, problem.bounds.upper + 1.0):
+            with pytest.raises(driver._Stop) as stop:
+                evaluator(x, "trial")
+            assert stop.value.reason is TerminationReason.BUDGET_EXHAUSTED and stop.value.__cause__ is None
         assert len(calls) == evaluator.used == len(evaluator.log) == 1
 
 
@@ -741,7 +742,7 @@ class TestLambdaCertificate:
     def test_nan_family_is_never_certified(self, monkeypatch):
         problem, spec = spec_for("rosenbrock2", mask=(2,))
         config = SolverConfig(kind=ModelKind.HERMITE_LS)
-        evaluator = Evaluator(spec, EvaluationBudget(50))
+        evaluator = Evaluator(spec, 50)
         state = initialize(spec, problem.x_start, config, evaluator)
 
         def poisoned(sys):
@@ -816,13 +817,12 @@ class TestReachableStates:
         # every training set the loop reaches keeps its points feasible,
         # pairwise distinct and the incumbent at the argmin
         from hermiteopt.driver import initialize, step_iteration
-        from hermiteopt.problem import EvaluationBudget, points_equal
+        from hermiteopt.problem import points_equal
 
         problem = get_problem("rosenbrock2")
         spec = mask_availability(problem, {2})
         config = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=120)
-        budget = EvaluationBudget(config.max_evaluations)
-        evaluator = Evaluator(spec, budget)
+        evaluator = Evaluator(spec, config.max_evaluations)
         state = initialize(spec, problem.x_start, config, evaluator)
         trace = []
 
@@ -883,6 +883,105 @@ class TestAssemblySpans:
         assert all(any(sys is s for s in built) for sys in consumed)
         assert len(seen["assembled"]) == len(seen["scaled"])
         assert bool(seen["weighted"]) == (kind in (ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA))
+
+
+class TestEvaluateHook:
+    """perfbench counts the returns of ``driver.evaluate``, a module global
+    of ``hermiteopt.driver``, against billed evaluations: the driver calls
+    it once per billed evaluation and never for a refused one."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        counts = {"calls": 0, "returns": 0}
+        real = driver.evaluate
+
+        def wrapper(spec, x):
+            counts["calls"] += 1
+            rec = real(spec, x)
+            counts["returns"] += 1
+            return rec
+
+        monkeypatch.setattr(driver, "evaluate", wrapper)
+        return counts
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_budget_exhausted_run_calls_it_once_per_billed_evaluation(self, kind, monkeypatch):
+        counts = self.counted(monkeypatch)
+        problem, spec = spec_for("rosenbrock2", mask=(2,))
+        result = run(spec, problem.x_start, SolverConfig(kind=kind, max_evaluations=12))
+        assert result.reason is TerminationReason.BUDGET_EXHAUSTED
+        assert counts["calls"] == counts["returns"] == result.evaluations == 12
+
+    @pytest.mark.parametrize("at", [3, 20])
+    def test_nonfinite_run_returns_once_per_billed_evaluation(self, at, monkeypatch):
+        counts = self.counted(monkeypatch)
+        problem, spec, _ = TestNonFiniteValues.poisoned(float("nan"), at)
+        result = run(spec, problem.x_start, SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=100))
+        assert result.reason is TerminationReason.NONFINITE_VALUE
+        assert counts["calls"] == counts["returns"] == result.evaluations == at
+
+
+class TestStepFallbacks:
+    """``step_iteration``'s fallbacks on an accepted trial, reached by
+    replacing ``hermiteopt.driver`` module globals, as perfbench does."""
+
+    @staticmethod
+    def start():
+        problem, spec = spec_for("sphere2")
+        config = SolverConfig(kind=ModelKind.FULL_INTERP, max_evaluations=50)
+        evaluator = Evaluator(spec, config.max_evaluations)
+        return spec, config, evaluator, initialize(spec, problem.x_start, config, evaluator)
+
+    def test_rank_deficient_family_replaces_the_farthest_point(self, monkeypatch):
+        spec, config, evaluator, state = self.start()
+        far = driver._farthest_index(state.ts)
+        x_opt = state.ts.incumbent_record.point
+        sys = apply_scaling(driver._assemble(state, spec), state.radius)
+        step = driver.solve_subproblem(driver.solve_system(sys), x_opt, state.radius, spec.bounds)
+        trial = spec.bounds.clip(x_opt + step)
+        # the family's own choice differs, so the fallback is what decides
+        assert driver.select_outgoing(lagrange_family(sys), trial) != far
+
+        def rank_deficient(sys):
+            raise RankDeficient("patched")
+
+        monkeypatch.setattr(driver, "lagrange_family", rank_deficient)
+        trace = []
+        assert driver.step_iteration(state, spec, config, evaluator, trace) is None
+        row = trace[-1]
+        assert row.accepted and row.repairs == 0 and row.replaced == far
+        assert np.array_equal(state.ts.records[far].point, trial)
+
+    def test_trial_on_a_retained_point_leaves_the_set_unchanged(self, monkeypatch):
+        spec, config, evaluator, state = self.start()
+        ts = state.ts
+        x_opt, f_opt = ts.incumbent_record.point, ts.incumbent_record.value
+        others = [i for i in range(ts.size) if i != ts.incumbent_index]
+        twin, outgoing = others[0], others[1]
+        step = ts.records[twin].point - x_opt
+        assert np.all(rows_equal(ts.points, x_opt + step) == (np.arange(ts.size) == twin))
+        # after the initial set the oracle reads 1 lower, so the trial on
+        # the retained point decreases the value, and the model predicts a
+        # decrease of 1 along the step
+        value, driver_solve = spec.value, driver.solve_system
+
+        def shifted(x):
+            return value(x) - 1.0 if evaluator.used >= ts.size else value(x)
+
+        def solve(sys):
+            driver_solve(sys)  # caches the factorization the trace row reads
+            return QuadraticModel(x_opt, f_opt, -step / float(step @ step), np.zeros((2, 2)))
+
+        monkeypatch.setattr(spec, "value", shifted)
+        monkeypatch.setattr(driver, "solve_system", solve)
+        monkeypatch.setattr(driver, "solve_subproblem", lambda *args: step)
+        monkeypatch.setattr(driver, "select_outgoing", lambda family, y: outgoing)
+        trace = []
+        driver.step_iteration(state, spec, config, evaluator, trace)
+        row = trace[-1]
+        assert row.accepted and row.replaced is None
+        assert state.ts is ts and evaluator.used == ts.size + 1
+        assert evaluator.log[-1] == ("trial", evaluator.best_value) and evaluator.best_value < f_opt
 
 
 class TestRankRepairScores:

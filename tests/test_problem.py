@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermiteopt.exceptions import BudgetExhausted, DuplicatePoint, EmptySet, OutOfBounds
+from hermiteopt.driver import Evaluator, TerminationReason, _Stop
+from hermiteopt.exceptions import DuplicatePoint, EmptySet, OutOfBounds
 from hermiteopt.problem import (
     Bounds,
     DerivativeAvailability,
-    EvaluationBudget,
     EvaluationRecord,
     ObjectiveSpec,
     TrainingSet,
@@ -59,41 +61,46 @@ class TestEvaluate:
     def test_rosenbrock_start_value(self):
         # f(1.2, 2) = 31.4 at the standard start
         spec = make_spec()
-        budget = EvaluationBudget(5)
-        rec = evaluate(spec, np.array([1.2, 2.0]), budget)
+        rec = evaluate(spec, np.array([1.2, 2.0]))
         assert rec.value == pytest.approx(31.4, abs=1e-12)
-        assert budget.evaluations_used == 1
 
     def test_optimum_record(self):
         spec = make_spec(mask=(2,))
-        rec = evaluate(spec, np.array([1.0, 1.0]), EvaluationBudget(1))
+        rec = evaluate(spec, np.array([1.0, 1.0]))
         assert rec.value == pytest.approx(0.0, abs=1e-14)
         assert rec.gradient[2] == pytest.approx(0.0, abs=1e-14)
         assert 1 not in rec.gradient
 
     def test_deterministic_repeat(self):
         spec = make_spec()
-        budget = EvaluationBudget(2)
         x = np.array([0.3, -0.7])
-        a = evaluate(spec, x, budget)
-        b = evaluate(spec, x, budget)
+        a = evaluate(spec, x)
+        b = evaluate(spec, x)
         assert a.value == b.value
         assert a.gradient == b.gradient
 
     def test_out_of_bounds(self):
         spec = make_spec()
         with pytest.raises(OutOfBounds):
-            evaluate(spec, np.array([100.0, 0.0]), EvaluationBudget(1))
+            evaluate(spec, np.array([100.0, 0.0]))
 
     def test_budget_exhausted(self):
-        spec = make_spec()
-        budget = EvaluationBudget(1)
-        evaluate(spec, np.array([0.0, 0.0]), budget)
-        with pytest.raises(BudgetExhausted):
-            evaluate(spec, np.array([1.0, 0.0]), budget)
+        # evaluate counts nothing; the Evaluator refuses at its limit,
+        # before any oracle call, and bills and logs nothing for it
+        problem = rosenbrock(2)
+        calls = []
+        spec = dataclasses.replace(make_spec(), value=lambda x: calls.append(x) or problem.value(x))
+        for _ in range(3):
+            evaluate(spec, np.array([0.0, 0.0]))
+        evaluator = Evaluator(spec, 1)
+        evaluator(np.array([0.0, 0.0]), "init")
+        with pytest.raises(_Stop) as stop:
+            evaluator(np.array([1.0, 0.0]), "trial")
+        assert stop.value.reason is TerminationReason.BUDGET_EXHAUSTED and stop.value.__cause__ is None
+        assert len(calls) == 4 and evaluator.used == len(evaluator.log) == 1
 
     def test_billing_counts_value_calls_exactly(self):
-        # the counting wrapper sees one value call per evaluate()
+        # the counting wrapper sees one value call per billed evaluation
         problem = rosenbrock(2)
         calls = {"n": 0}
 
@@ -108,11 +115,11 @@ class TestEvaluate:
             availability=DerivativeAvailability(first_order=frozenset({1, 2})),
             derivative=problem.gradient,
         )
-        budget = EvaluationBudget(7)
+        evaluator = Evaluator(spec, 7)
         rng = np.random.default_rng(0)
         for _ in range(7):
-            evaluate(spec, rng.uniform(-1, 1, size=2), budget)
-        assert calls["n"] == 7 == budget.evaluations_used
+            evaluator(rng.uniform(-1, 1, size=2), "trial")
+        assert calls["n"] == 7 == evaluator.used
 
     @pytest.mark.parametrize("mask, pairs, expected", [
         ((), (), ["value"]),
@@ -133,17 +140,20 @@ class TestEvaluate:
         spec.value = logged("value", spec.value)
         spec.derivative = logged("derivative", spec.derivative)
         spec.second_derivative = logged("second", spec.second_derivative)
-        evaluate(spec, np.array([0.5, 0.25]), EvaluationBudget(1))
+        evaluate(spec, np.array([0.5, 0.25]))
         assert calls == expected
 
     @pytest.mark.parametrize("entries", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]], 4.0])
     def test_wrong_shape_derivatives_rejected_after_billing(self, entries):
         spec = make_spec(mask=(1, 2))
         spec.derivative = lambda x: entries
-        budget = EvaluationBudget(1)
         with pytest.raises(ValueError, match=r"expected \(2,\)"):
-            evaluate(spec, np.array([0.0, 0.0]), budget)
-        assert budget.evaluations_used == 1
+            evaluate(spec, np.array([0.0, 0.0]))
+        evaluator = Evaluator(spec, 1)
+        with pytest.raises(_Stop) as stop:
+            evaluator(np.array([0.0, 0.0]), "init")
+        assert stop.value.reason is TerminationReason.ORACLE_ERROR
+        assert isinstance(stop.value.__cause__, ValueError) and evaluator.used == len(evaluator.log) == 1
 
 
 class TestTrainingSet:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hermiteopt.exceptions import UnknownProblem
-from hermiteopt.problem import EvaluationBudget, evaluate
+from hermiteopt.problem import evaluate
 from hermiteopt.testbed import (
     PROBLEMS,
     add_noise,
@@ -98,7 +98,7 @@ class TestMasking:
         spec = mask_availability(problem, {2})
         x = np.array([0.5, 0.5])
         assert spec.derivative(x).tolist() == [problem.gradient(x)[1]]
-        rec = evaluate(spec, x, EvaluationBudget(1))
+        rec = evaluate(spec, x)
         assert rec.gradient == {2: problem.gradient(x)[1]} and rec.second == {}
 
     def test_entries_follow_directions_and_pairs_in_order(self):
@@ -108,14 +108,14 @@ class TestMasking:
         g, H = problem.gradient(x), problem.hessian(x)
         assert spec.derivative(x).tolist() == [g[0], g[3]]
         assert spec.second_derivative(x).tolist() == [H[0, 0], H[0, 3], H[2, 3]]
-        rec = evaluate(spec, x, EvaluationBudget(1))
+        rec = evaluate(spec, x)
         assert list(rec.gradient) == [1, 4] and list(rec.second) == [(1, 1), (1, 4), (3, 4)]
 
     def test_empty_mask_is_derivative_free(self):
         problem = get_problem("sphere2")
         spec = mask_availability(problem, set())
         assert spec.availability.k_d == 0
-        rec = evaluate(spec, problem.x_start, EvaluationBudget(1))
+        rec = evaluate(spec, problem.x_start)
         assert rec.gradient == {}
 
     def test_full_second_order_mask(self):
@@ -126,7 +126,7 @@ class TestMasking:
         x = np.array([0.4, 0.2])
         H = problem.hessian(x)
         assert spec.second_derivative(x)[1] == H[0, 1]
-        rec = evaluate(spec, x, EvaluationBudget(1))
+        rec = evaluate(spec, x)
         assert set(rec.second) == set(pairs)
 
     def test_second_order_closure_subsets(self):
@@ -199,7 +199,7 @@ class TestNoise:
         x = np.array([0.3, -0.2, 0.9, 1.1, 0.4])
         g, H = problem.gradient(x), problem.hessian(x)
         for _ in range(3):
-            rec = evaluate(spec, x, EvaluationBudget(1))
+            rec = evaluate(spec, x)
             assert rec.value == problem.value(x) * (1.0 + rng.uniform(-amplitude, amplitude))
             assert rec.gradient == {
                 i: g[i - 1] * (1.0 + rng.uniform(-amplitude, amplitude)) for i in (1, 3, 4)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hermiteopt.problem import EvaluationBudget, evaluate
+from hermiteopt.driver import Evaluator
+from hermiteopt.problem import evaluate
 from hermiteopt.yields import (
     BOUNDS,
     DECAY,
@@ -166,9 +167,9 @@ class TestGradient:
 
     def test_gradient_consumes_no_budget(self):
         spec = yield_objective("nonoise", seed=8)
-        budget = EvaluationBudget(1)
-        rec = evaluate(spec, START_POINT, budget)
-        assert budget.evaluations_used == 1
+        evaluator = Evaluator(spec, 1)
+        rec = evaluator(START_POINT, "init")
+        assert evaluator.used == 1
         assert set(rec.gradient) == {1, 2}
 
 
@@ -219,7 +220,7 @@ class TestObjectiveSpec:
 
         monkeypatch.setattr(YieldProblem, "safe_mask", counting)
         spec = yield_objective(mode, seed=15)
-        evaluate(spec, START_POINT, EvaluationBudget(1))
+        evaluate(spec, START_POINT)
         # one estimate per point in fixed-shifted mode; resampled modes
         # still estimate once per oracle call, 1 + k_d times
         assert calls == [2500] * estimates
@@ -227,10 +228,9 @@ class TestObjectiveSpec:
     def test_lownoise_draws_once_per_oracle_call_in_order(self):
         spec = yield_objective("lownoise", seed=16)
         yp = YieldProblem(n_mc=2500, sampling=SamplingMode.RESAMPLED, seed=16)
-        budget = EvaluationBudget(2)
         x = np.array([9.3, 5.4, 1.0, 1.1])
         for _ in range(2):
-            rec = evaluate(spec, x, budget)
+            rec = evaluate(spec, x)
             assert rec.value == -yield_estimate(yp, x)
             assert rec.gradient[1] == -float(yield_gradient_means(yp, x)[0])
             assert rec.gradient[2] == -float(yield_gradient_means(yp, x)[1])
