@@ -43,10 +43,9 @@ from .problem import (
     TaylorReference,
     TrainingSet,
     evaluate,
-    incumbent,
 )
 from .subproblem import solve_subproblem
-from .testbed import add_noise, get_problem, mask_availability, problem_names
+from .testbed import add_noise, get_problem, mask_availability
 from .yields import YieldProblem, yield_estimate, yield_gradient_means, yield_objective
 
 __version__ = "0.1.0"
@@ -77,11 +76,9 @@ __all__ = [
     "estimate_lambda",
     "evaluate",
     "get_problem",
-    "incumbent",
     "lagrange_family",
     "mask_availability",
     "model_error_diagnostic",
-    "problem_names",
     "propose_geometry_point",
     "run",
     "select_outgoing",

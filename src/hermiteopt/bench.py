@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .driver import PURPOSES, RunResult, SolverConfig, TraceRow, run
-from .exceptions import MalformedInput, UnknownProblem
 from .models import HERMITE_KINDS, ModelKind
 from .problem import ObjectiveSpec
 from .testbed import (
@@ -174,7 +173,7 @@ def expand_plan(plan: ExperimentPlan) -> list[PlanCase]:
     cases = registry()
     for name in plan.problems:
         if name not in cases:
-            raise UnknownProblem(f"unknown problem {name!r}")
+            raise ValueError(f"unknown problem {name!r}")
     if plan.noise not in NOISE_AMPLITUDES:
         raise ValueError(f"unknown noise mode {plan.noise!r}")
     for kd in plan.kd_values:
@@ -300,21 +299,22 @@ def run_plan(
 
 
 def _read_results(path: str | Path) -> list[dict]:
-    try:
-        with Path(path).open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(RESULT_COLUMNS) - set(reader.fieldnames):
-                raise MalformedInput(f"{path} lacks the expected result columns")
-            rows = list(reader)
-    except OSError as exc:
-        raise MalformedInput(str(exc)) from exc
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or set(RESULT_COLUMNS) - set(reader.fieldnames):
+            raise ValueError(f"{path} lacks the expected result columns")
+        rows = list(reader)
     for row in rows:
+        # DictReader pads a short row with None and files a long row's
+        # surplus fields under the key None
+        if None in row or None in row.values():
+            raise ValueError(f"{path} has a row whose field count differs from its header")
         try:
             row["n"] = int(row["n"])
             row["kd"] = int(row["kd"])
             row["evaluations"] = int(row["evaluations"])
         except ValueError as exc:
-            raise MalformedInput(f"bad numeric field in {path}: {exc}") from exc
+            raise ValueError(f"bad numeric field in {path}: {exc}") from exc
     return rows
 
 

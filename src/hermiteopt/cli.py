@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from .bench import ExperimentPlan, PlanCase, registry, run_inputs, run_plan, summarize, trace_export
 from .driver import run
-from .exceptions import HermiteOptError, UnknownProblem
+from .exceptions import HermiteOptError
 from .models import ModelKind
 from .testbed import NOISE_AMPLITUDES
 
@@ -94,7 +94,7 @@ def _cmd_trace(args) -> int:
             raise ValueError(f"trace exports one run: --{flag} takes one value")
     entry = registry().get(args.problems[0])
     if entry is None:
-        raise UnknownProblem(f"unknown problem {args.problems[0]!r}")
+        raise ValueError(f"unknown problem {args.problems[0]!r}")
     plan = _plan(args)
     mask = entry.fixed_mask(plan.kinds[0])
     if args.mask:

@@ -54,7 +54,6 @@ from .problem import (
     TaylorReference,
     TrainingSet,
     evaluate,
-    incumbent,
     rows_equal,
 )
 from .subproblem import solve_subproblem
@@ -739,7 +738,8 @@ def step_iteration(
     sigma_ratio = float(s[-1] / s[0])
 
     diag_value = float("nan")
-    x_opt, f_opt = incumbent(state.ts)
+    incumbent = state.ts.incumbent_record
+    x_opt, f_opt = incumbent.point, incumbent.value
     if config.model_error_diagnostic and spec.taylor_reference is not None:
         diag_value = model_error_diagnostic(
             model, spec.taylor_reference, x_opt, config.diagnostic_halfwidth

@@ -31,13 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .basis import MonomialBasis
-from .exceptions import (
-    KindMismatch,
-    MissingDerivative,
-    RankDeficient,
-    Underdetermined,
-    WrongSetSize,
-)
+from .exceptions import RankDeficient
 from .problem import TrainingSet
 
 # relative singular-value cutoff below which a system counts as rank deficient
@@ -208,7 +202,7 @@ def _shifted_non_incumbent(ts: TrainingSet):
 
 def _derivative_entries(ts: TrainingSet, labels, second: bool = False) -> np.ndarray:
     """Known derivative entries of every record, one row per point and
-    one column per label; raises MissingDerivative for a missing one."""
+    one column per label; raises ValueError for a missing one."""
     rows = []
     for i, rec in enumerate(ts.records):
         known = rec.second if second else rec.gradient
@@ -216,7 +210,7 @@ def _derivative_entries(ts: TrainingSet, labels, second: bool = False) -> np.nda
             rows.append([known[label] for label in labels])
         except KeyError as exc:
             what = "second derivative for pair" if second else "derivative for direction"
-            raise MissingDerivative(f"record {i} lacks the {what} {exc.args[0]}") from None
+            raise ValueError(f"record {i} lacks the {what} {exc.args[0]}") from None
     return np.array(rows, dtype=float).reshape(ts.size, len(labels))
 
 
@@ -249,9 +243,7 @@ def _regression_system(ts: TrainingSet, kind: ModelKind, directions, pairs) -> A
         parts.append(np.tile(hess_rows, (ts.size, 1)))
     matrix = np.vstack(parts)
     if matrix.shape[0] < basis.q1 - 1:
-        raise Underdetermined(
-            f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients"
-        )
+        raise ValueError(f"{matrix.shape[0]} rows cannot determine {basis.q1 - 1} coefficients")
     return AssembledSystem(
         kind=kind,
         matrix=matrix,
@@ -313,7 +305,7 @@ def assemble_full_interp(ts: TrainingSet) -> AssembledSystem:
     """Square interpolation system on a set of (n+1)(n+2)/2 points."""
     q1 = MonomialBasis(ts.dimension).q1
     if ts.size != q1:
-        raise WrongSetSize(f"full interpolation needs {q1} points, got {ts.size}")
+        raise ValueError(f"full interpolation needs {q1} points, got {ts.size}")
     return _regression_system(ts, ModelKind.FULL_INTERP, (), ())
 
 
@@ -327,9 +319,7 @@ def assemble_min_frob(ts: TrainingSet, h_prev: np.ndarray) -> AssembledSystem:
     n = ts.dimension
     q1 = MonomialBasis(n).q1
     if not n + 2 <= ts.size < q1:
-        raise WrongSetSize(
-            f"min-Frobenius kind needs n+2 <= p1 < {q1}, got {ts.size}"
-        )
+        raise ValueError(f"min-Frobenius kind needs n+2 <= p1 < {q1}, got {ts.size}")
     return _frobenius_system(ts, _check_symmetric(h_prev, n), ())
 
 
@@ -364,7 +354,7 @@ def assemble_hermite_bobyqa(ts: TrainingSet, availability, h_prev: np.ndarray) -
     if not directions:
         raise ValueError("Hermite BOBYQA needs first-order availability")
     if ts.size < n + 2:
-        raise WrongSetSize(f"Hermite BOBYQA needs at least n+2 points, got {ts.size}")
+        raise ValueError(f"Hermite BOBYQA needs at least n+2 points, got {ts.size}")
     return _frobenius_system(ts, _check_symmetric(h_prev, n), directions)
 
 
@@ -406,7 +396,7 @@ def apply_weighting(sys: AssembledSystem, ts: TrainingSet) -> AssembledSystem:
     Only the Hermite kinds have weighted blocks.
     """
     if not any(b.weighted for b in sys.blocks):
-        raise KindMismatch(f"weighting does not apply to {sys.kind.value}")
+        raise ValueError(f"weighting does not apply to {sys.kind.value}")
     w = distance_weights(ts)
     row_w = np.concatenate([w[b.points] if b.weighted else np.ones(b.rows) for b in sys.blocks])
     return dc_replace(

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DuplicatePoint, EmptySet, OutOfBounds
+from .exceptions import DuplicatePoint, OutOfBounds
 
 Vector = np.ndarray
 
@@ -217,7 +217,7 @@ class TrainingSet:
     def from_records(cls, records) -> "TrainingSet":
         records = tuple(records)
         if not records:
-            raise EmptySet("a training set needs at least one record")
+            raise ValueError("a training set needs at least one record")
         ts = cls(records, _argmin_earliest([r.value for r in records]))
         pairs = np.argwhere(np.triu(rows_equal(ts.points, ts.points), k=1))
         if pairs.size:
@@ -258,9 +258,3 @@ class TrainingSet:
         records = list(self.records)
         records[outgoing_index] = incoming
         return TrainingSet(tuple(records), _argmin_earliest([r.value for r in records]))
-
-
-def incumbent(ts: TrainingSet) -> tuple[Vector, float]:
-    """Return the incumbent point and its value."""
-    rec = ts.incumbent_record
-    return rec.point, rec.value

@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import UnknownProblem
 from .problem import Bounds, DerivativeAvailability, ObjectiveSpec, TaylorReference
 
 
@@ -395,10 +394,4 @@ def get_problem(name: str) -> TestProblem:
     try:
         return PROBLEMS[name]
     except KeyError:
-        raise UnknownProblem(
-            f"unknown problem {name!r}; known: {', '.join(sorted(PROBLEMS))}"
-        ) from None
-
-
-def problem_names() -> list[str]:
-    return sorted(PROBLEMS)
+        raise ValueError(f"unknown problem {name!r}; known: {', '.join(sorted(PROBLEMS))}") from None

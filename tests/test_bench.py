@@ -15,7 +15,6 @@ from hermiteopt.bench import (
 )
 from hermiteopt.cli import main
 from hermiteopt.driver import SolverConfig, run
-from hermiteopt.exceptions import MalformedInput, UnknownProblem
 from hermiteopt.models import HERMITE_KINDS, ModelKind
 from hermiteopt.testbed import get_problem, mask_availability
 
@@ -35,9 +34,9 @@ def small_plan(**overrides):
 class TestPlanExpansion:
     def test_unknown_problem_fails_before_running(self, tmp_path):
         plan = small_plan(problems=("sphere2", "missing"))
-        with pytest.raises(UnknownProblem):
+        with pytest.raises(ValueError, match="unknown problem"):
             expand_plan(plan)
-        with pytest.raises(UnknownProblem):
+        with pytest.raises(ValueError, match="unknown problem"):
             run_plan(plan, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
@@ -164,15 +163,21 @@ class TestSummarize:
     def test_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        with pytest.raises(MalformedInput):
+        with pytest.raises(ValueError, match="lacks the expected result columns"):
             summarize(bad, tmp_path / "out.csv")
         worse = tmp_path / "worse.csv"
         worse.write_text(
             "problem,n,kind,kd,mask,seed,noise,evaluations,f_final,x_gap,success\n"
             "p,x,bobyqa,0,,0,none,40,0,0,1\n"
         )
-        with pytest.raises(MalformedInput):
+        with pytest.raises(ValueError, match="bad numeric field in"):
             summarize(worse, tmp_path / "out.csv")
+        header = ",".join(RESULT_COLUMNS)
+        for name, row in (("short.csv", "p,2"), ("long.csv", "p,2,bobyqa,0,,0,none,40,0,0,1,extra")):
+            ragged = tmp_path / name
+            ragged.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ValueError, match="row whose field count differs from its header"):
+                summarize(ragged, tmp_path / "out.csv")
 
     def test_summary_matches_independent_recomputation(self, tmp_path):
         res = tmp_path / "res.csv"
@@ -398,6 +403,23 @@ class TestCli:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bad_input_exit_code_and_message(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        no_columns = tmp_path / "no_columns.csv"
+        no_columns.write_text("a,b\n1,2\n")
+        cases = [
+            (["summarize", str(missing)], f"[Errno 2] No such file or directory: '{missing}'"),
+            (["summarize", str(no_columns)], f"{no_columns} lacks the expected result columns"),
+            (["trace", "--problems", "missing"], "unknown problem 'missing'"),
+        ]
+        for argv, message in cases:
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestPinnedDigests:

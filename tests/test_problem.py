@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermiteopt.driver import Evaluator, TerminationReason, _Stop
-from hermiteopt.exceptions import DuplicatePoint, EmptySet, OutOfBounds
+from hermiteopt.exceptions import DuplicatePoint, OutOfBounds
 from hermiteopt.problem import (
     Bounds,
     DerivativeAvailability,
@@ -14,7 +14,6 @@ from hermiteopt.problem import (
     ObjectiveSpec,
     TrainingSet,
     evaluate,
-    incumbent,
     points_equal,
     rows_equal,
 )
@@ -162,16 +161,16 @@ class TestTrainingSet:
             [record([0, 0], 3.0), record([1, 0], 1.0), record([0, 1], 2.0)]
         )
         assert ts.incumbent_index == 1
-        point, value = incumbent(ts)
-        assert value == 1.0
-        assert np.array_equal(point, [1.0, 0.0])
+        best = ts.incumbent_record
+        assert best.value == 1.0
+        assert np.array_equal(best.point, [1.0, 0.0])
 
     def test_tie_breaks_earliest(self):
         ts = TrainingSet.from_records([record([0, 0], 1.0), record([1, 0], 1.0)])
         assert ts.incumbent_index == 0
 
     def test_empty_set(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(ValueError, match="needs at least one record"):
             TrainingSet.from_records([])
 
     def test_duplicate_rejected_at_build(self):
