@@ -23,12 +23,7 @@ for mask in ((1,), (2,), (1, 2)):
         r2 = ho.run(
             ho.mask_availability(problem, set(mask), second_order_closure(mask)),
             x0,
-            ho.SolverConfig(
-                kind=ModelKind.HERMITE_LS,
-                max_evaluations=500,
-                weighting=True,
-                second_order=True,
-            ),
+            ho.SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=500, weighting=True),
         )
         first += r1.evaluations
         second += r2.evaluations

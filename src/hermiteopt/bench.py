@@ -231,7 +231,6 @@ def run_inputs(
         kind=case.kind,
         max_evaluations=plan.budget,
         weighting=plan.weighting,
-        second_order=plan.second_order,
     )
     return spec, config
 

@@ -97,9 +97,7 @@ class SolverConfig:
     min_radius: float = 1e-8
     max_evaluations: int = 500
     weighting: bool = False
-    second_order: bool = False
     model_error_diagnostic: bool = False
-    diagnostic_halfwidth: float = 0.01
     lambda_threshold: ClassVar[float] = LAMBDA_THRESHOLD  # read-only
 
     def __post_init__(self):
@@ -240,21 +238,16 @@ def _unreachable_columns(n: int, directions, pairs) -> int:
     return count
 
 
-def default_point_count(
-    kind: ModelKind,
-    n: int,
-    directions=(),
-    pairs=(),
-    second_order: bool = False,
-) -> int:
+def default_point_count(kind: ModelKind, n: int, directions=(), pairs=()) -> int:
     """Training-set size of a run.
 
     Full interpolation needs the complete quadratic count and the
     Frobenius kinds default to 2n+1.  Hermite least squares starts from
-    max(2n+1-k_d, ceil(q1/(rows per point))) and is floored at one more
-    than the number of basis columns the derivative rows cannot reach,
-    since value rows alone must determine those; below that floor the
-    regression is rank deficient for every point geometry.
+    max(2n+1-k_d, ceil(q1/(1+k_d+k_2))), with k_2 the pairs it is given,
+    and is floored at one more than the number of basis columns the
+    derivative rows cannot reach, since value rows alone must determine
+    those; below that floor the regression is rank deficient for every
+    point geometry.
     """
     q1 = (n + 1) * (n + 2) // 2
     if kind is ModelKind.FULL_INTERP:
@@ -262,7 +255,6 @@ def default_point_count(
     if kind in FROBENIUS_KINDS:
         return 2 * n + 1
     k_d = len(directions)
-    pairs = tuple(pairs) if second_order else ()
     per_point = 1 + k_d + len(pairs)
     p1 = max(2 * n + 1 - k_d, math.ceil(q1 / per_point), 2)
     structural = 1 + _unreachable_columns(n, directions, pairs)
@@ -286,7 +278,7 @@ def resolve_model(spec: ObjectiveSpec, config: SolverConfig) -> tuple[ModelKind,
         kind = ModelKind.FULL_INTERP
     if kind is ModelKind.HERMITE_BOBYQA and avail.k_d == 0:
         kind = ModelKind.BOBYQA
-    p1 = default_point_count(kind, n, avail.directions, avail.pairs, config.second_order)
+    p1 = default_point_count(kind, n, avail.directions, avail.pairs)
     if kind is ModelKind.BOBYQA and p1 == (n + 1) * (n + 2) // 2:
         kind = ModelKind.FULL_INTERP
     return kind, p1
@@ -741,9 +733,7 @@ def step_iteration(
     incumbent = state.ts.incumbent_record
     x_opt, f_opt = incumbent.point, incumbent.value
     if config.model_error_diagnostic and spec.taylor_reference is not None:
-        diag_value = model_error_diagnostic(
-            model, spec.taylor_reference, x_opt, config.diagnostic_halfwidth
-        )
+        diag_value = model_error_diagnostic(model, spec.taylor_reference, x_opt)
 
     step = solve_subproblem(model, x_opt, delta, spec.bounds)
     step_norm = math.sqrt(float(step.dot(step)))
@@ -826,15 +816,15 @@ def run(spec: ObjectiveSpec, x0: np.ndarray, config: SolverConfig | None = None)
 
     numpy's OpenBLAS, when found, runs on one thread until the call
     returns or raises, oracle calls included; the caller's thread count
-    is restored afterwards.  Only hermite-ls with ``second_order`` on
-    reads second-order rows; every other run leaves ``second_derivative``
-    uncalled.
+    is restored afterwards.  Only hermite-ls reads second-order rows,
+    and it reads every pair its spec declares; every other run leaves
+    ``second_derivative`` uncalled.
     """
     config = config or SolverConfig()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
         raise ValueError(f"start point has shape {x0.shape}, expected ({spec.dimension},)")
-    if spec.availability.pairs and not (config.kind is ModelKind.HERMITE_LS and config.second_order):
+    if spec.availability.pairs and config.kind is not ModelKind.HERMITE_LS:
         avail = dataclasses.replace(spec.availability, second_order=frozenset())
         spec = dataclasses.replace(spec, availability=avail)
     evaluator = Evaluator(spec, config.max_evaluations)

@@ -30,6 +30,20 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
+def _model_change(g: np.ndarray, H: np.ndarray, v: np.ndarray) -> float:
+    """Change g.v + v.H.v/2 of the model from the center to step ``v``."""
+    return float(g.dot(v) + (0.5 * v).dot(H).dot(v))
+
+
+def _clip_shrink(v: np.ndarray, step_lo, step_hi, delta: float) -> np.ndarray:
+    """``v`` clipped to the box, then scaled back into the ball."""
+    v = np.minimum(step_hi, np.maximum(step_lo, v))
+    norm = _norm(v)
+    if norm > delta:
+        v = v * (delta / norm)
+    return v
+
+
 def projected_gradient(g: np.ndarray, step_lo: np.ndarray, step_hi: np.ndarray) -> np.ndarray:
     """Gradient with components blocked by an active bound zeroed out."""
     blocked = ((g > 0) & (step_lo >= -1e-15)) | ((g < 0) & (step_hi <= 1e-15))
@@ -165,11 +179,8 @@ def _boundary_polish(g, H, delta, step_lo, step_hi, s) -> np.ndarray:
     last point is the best one.  The tangent and the stop test depend on
     ``cur`` alone and are recomputed only when it moves."""
 
-    def q(v):
-        return float(g.dot(v) + (0.5 * v).dot(H).dot(v))
-
     cur = np.array(s, dtype=float)
-    q_cur = q(cur)
+    q_cur = _model_change(g, H, cur)
     rel_step = 0.5
     moved = True
     for _ in range(BOUNDARY_POLISH_TRIES):
@@ -187,11 +198,8 @@ def _boundary_polish(g, H, delta, step_lo, step_hi, s) -> np.ndarray:
         cn = _norm(cand)
         if cn > 0:
             cand = cand * (delta / cn)
-        cand = np.minimum(step_hi, np.maximum(step_lo, cand))
-        cn = _norm(cand)
-        if cn > delta:
-            cand = cand * (delta / cn)
-        q_cand = q(cand)
+        cand = _clip_shrink(cand, step_lo, step_hi, delta)
+        q_cand = _model_change(g, H, cand)
         moved = q_cand < q_cur - 1e-16
         if moved:
             cur, q_cur = cand, q_cand
@@ -223,19 +231,13 @@ def solve_subproblem(
     s_cauchy = _cauchy_path(g, H, delta, step_lo, step_hi)
     s_cg = _cg_refine(g, H, delta, step_lo, step_hi, s_cauchy)
 
-    def finalize(v: np.ndarray) -> np.ndarray:
-        v = np.minimum(step_hi, np.maximum(step_lo, v))
-        norm = _norm(v)
-        if norm > delta:
-            v = v * (delta / norm)
-        return v
-
-    def q(v: np.ndarray) -> float:
-        return float(g.dot(v) + (0.5 * v).dot(H).dot(v))
-
-    candidates = [finalize(s_cg), finalize(s_cauchy), np.zeros(center.size)]
+    candidates = [
+        _clip_shrink(s_cg, step_lo, step_hi, delta),
+        _clip_shrink(s_cauchy, step_lo, step_hi, delta),
+        np.zeros(center.size),
+    ]
     if _norm(s_cg) >= delta * (1 - 1e-9):
-        candidates.append(
-            finalize(_boundary_polish(g, H, delta, step_lo, step_hi, candidates[0]))
-        )
-    return min(candidates, key=q)
+        polished = _boundary_polish(g, H, delta, step_lo, step_hi, candidates[0])
+        # a shrunk vector can round one ulp over delta: clip and shrink again
+        candidates.append(_clip_shrink(polished, step_lo, step_hi, delta))
+    return min(candidates, key=lambda v: _model_change(g, H, v))

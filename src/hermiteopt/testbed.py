@@ -361,33 +361,31 @@ def add_noise(spec: ObjectiveSpec, amplitude: float, seed: int) -> ObjectiveSpec
 # noise amplitudes for the benchmark noise modes on test problems
 NOISE_AMPLITUDES = {"none": 0.0, "low": 1e-2, "high": 1e-1}
 
-_BUILDERS = [
-    lambda: rosenbrock(2),
-    lambda: rosenbrock(5),
-    lambda: rosenbrock(10),
-    lambda: rosenbrock(20),
-    lambda: sphere(2),
-    lambda: sphere(3),
-    lambda: sphere(4),
-    lambda: sphere(5),
-    lambda: sphere(10),
-    booth,
-    matyas,
-    beale,
-    lambda: zakharov(3),
-    lambda: zakharov(5),
-    lambda: zakharov(10),
-    lambda: zakharov(20),
-    lambda: trid(3),
-    lambda: trid(4),
-    lambda: rotated_ellipsoid(4),
-    lambda: qing(5),
-]
-
-PROBLEMS: dict[str, TestProblem] = {}
-for _b in _BUILDERS:
-    _p = _b()
-    PROBLEMS[_p.name] = _p
+PROBLEMS: dict[str, TestProblem] = {
+    p.name: p
+    for p in (
+        rosenbrock(2),
+        rosenbrock(5),
+        rosenbrock(10),
+        rosenbrock(20),
+        sphere(2),
+        sphere(3),
+        sphere(4),
+        sphere(5),
+        sphere(10),
+        booth(),
+        matyas(),
+        beale(),
+        zakharov(3),
+        zakharov(5),
+        zakharov(10),
+        zakharov(20),
+        trid(3),
+        trid(4),
+        rotated_ellipsoid(4),
+        qing(5),
+    )
+}
 
 
 def get_problem(name: str) -> TestProblem:

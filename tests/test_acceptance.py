@@ -72,7 +72,6 @@ def test_criterion_2_model_error_decay():
         kind=ModelKind.HERMITE_LS,
         max_evaluations=500,
         model_error_diagnostic=True,
-        diagnostic_halfwidth=0.01,
     )
     result = ho.run(spec, problem.x_start, cfg)
     errors = [t.model_error for t in result.trace if t.iteration <= 30]
@@ -151,7 +150,6 @@ def test_criterion_4_second_order_benefit():
                     kind=ModelKind.HERMITE_LS,
                     max_evaluations=500,
                     weighting=True,
-                    second_order=True,
                 ),
             )
             first_total += first.evaluations

@@ -216,7 +216,7 @@ class TestRegressionKinds:
             pairs = tuple(sorted(set(pairs)))
             if not directions and not pairs:
                 continue
-            count = default_point_count(ModelKind.HERMITE_LS, n, directions, pairs, bool(pairs))
+            count = default_point_count(ModelKind.HERMITE_LS, n, directions, pairs)
             ts, _ = seeded_set(n, count, 100 * n + k_d, directions, pairs)
             avail = availability(directions, pairs)
             assert_same_outcome(lambda: assemble_hermite_ls(ts, avail), lambda: reference_hermite_ls(ts, avail))

@@ -1,8 +1,10 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,12 +501,14 @@ class TestNonFiniteValues:
         assert result.evaluation_log == [("init", float("inf"))]
 
     @staticmethod
-    def run_poisoned_entry(which, kind, bad, at, second_order=False):
-        """rosenbrock2 with direction 2 and pairs (1, 2), (2, 2) known, whose
-        ``which`` oracle returns ``bad`` in its last entry on its ``at``-th
-        call; every point the value oracle saw is recorded."""
+    def run_poisoned_entry(which, kind, bad, at):
+        """rosenbrock2 with direction 2 known, and pairs (1, 2), (2, 2) when
+        ``which`` is the second derivative, whose ``which`` oracle returns
+        ``bad`` in its last entry on its ``at``-th call; every point the
+        value oracle saw is recorded."""
         problem = get_problem("rosenbrock2")
-        spec = mask_availability(problem, {2}, {(1, 2), (2, 2)})
+        pairs = {(1, 2), (2, 2)} if which == "second_derivative" else ()
+        spec = mask_availability(problem, {2}, pairs)
         good, calls, count = getattr(spec, which), [], [0]
 
         def value(x):
@@ -519,7 +523,7 @@ class TestNonFiniteValues:
             return entries
 
         spec = dataclasses.replace(spec, value=value, **{which: oracle})
-        config = SolverConfig(kind=kind, second_order=second_order, max_evaluations=300)
+        config = SolverConfig(kind=kind, max_evaluations=300)
         return problem, run(spec, problem.x_start, config), calls, count[0]
 
     @pytest.mark.parametrize("kind", [ModelKind.HERMITE_LS, ModelKind.HERMITE_BOBYQA])
@@ -534,7 +538,7 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("at", [3, 12])
     def test_non_finite_second_derivative_entry_ends_the_run(self, at):
         problem, result, calls, oracle_calls = self.run_poisoned_entry(
-            "second_derivative", ModelKind.HERMITE_LS, float("nan"), at, second_order=True
+            "second_derivative", ModelKind.HERMITE_LS, float("nan"), at
         )
         self.check_poisoned_entry(problem, result, calls, oracle_calls, at)
 
@@ -551,11 +555,11 @@ class TestNonFiniteValues:
 
 
 class TestUnreadSecondOrder:
-    """Only hermite-ls with second order on reads second-order rows; every
-    other run leaves the declared pairs' oracle uncalled."""
+    """Only hermite-ls reads second-order rows, and it reads every declared
+    pair; every other run leaves the pairs' oracle uncalled."""
 
     @staticmethod
-    def counted_run(kind, second_order, pairs, bad_at=None):
+    def counted_run(kind, pairs, bad_at=None):
         """rosenbrock2 with direction 2 and ``pairs`` known; the second-order
         oracle's ``bad_at``-th call returns NaN in its last entry."""
         problem = get_problem("rosenbrock2")
@@ -570,30 +574,32 @@ class TestUnreadSecondOrder:
             return entries
 
         spec = dataclasses.replace(spec, second_derivative=oracle)
-        config = SolverConfig(kind=kind, second_order=second_order, max_evaluations=150)
+        config = SolverConfig(kind=kind, max_evaluations=150)
         return run(spec, problem.x_start, config), count[0]
 
+    PAIRS = {(1, 2), (2, 2)}
+
     @staticmethod
-    def reads(kind, second_order):
-        return kind is ModelKind.HERMITE_LS and second_order
+    def reads(kind, declared):
+        return kind is ModelKind.HERMITE_LS and declared
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    @pytest.mark.parametrize("second_order", [False, True])
-    def test_called_once_per_evaluation_exactly_when_read(self, kind, second_order):
-        result, calls = self.counted_run(kind, second_order, {(1, 2), (2, 2)})
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_called_once_per_evaluation_exactly_when_read(self, kind, declared):
+        result, calls = self.counted_run(kind, self.PAIRS if declared else ())
         assert result.reason is not TerminationReason.NONFINITE_VALUE
-        assert calls == (result.evaluations if self.reads(kind, second_order) else 0)
+        assert calls == (result.evaluations if self.reads(kind, declared) else 0)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    @pytest.mark.parametrize("second_order", [False, True])
-    def test_nan_in_an_unread_entry_changes_nothing(self, kind, second_order):
-        result, calls = self.counted_run(kind, second_order, {(1, 2), (2, 2)}, bad_at=10)
-        if self.reads(kind, second_order):
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_nan_in_an_unread_entry_changes_nothing(self, kind, declared):
+        result, calls = self.counted_run(kind, self.PAIRS if declared else (), bad_at=10)
+        if self.reads(kind, declared):
             assert result.reason is TerminationReason.NONFINITE_VALUE
             assert result.evaluations == calls == 10
         else:
             # the run is the one without declared pairs
-            plain, _ = self.counted_run(kind, second_order, ())
+            plain, _ = self.counted_run(kind, ())
             assert calls == 0 and result.evaluations > 10
             assert result.reason is plain.reason and result.evaluations == plain.evaluations
             assert result.f_best == plain.f_best and result.evaluation_log == plain.evaluation_log
@@ -669,7 +675,7 @@ class TestOracleErrors:
             return {"longer": np.append(entries, 1.0), "shorter": entries[:1], "scalar": 1.0}[returned]
 
         spec = dataclasses.replace(spec, **{which: oracle})
-        config = SolverConfig(kind=ModelKind.HERMITE_LS, second_order=True, max_evaluations=100)
+        config = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=100)
         result = run(spec, problem.x_start, config)
         assert result.reason is TerminationReason.ORACLE_ERROR
         assert isinstance(result.error, ValueError) and "expected (2,)" in str(result.error)
@@ -1158,8 +1164,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(initial_radius=1e-9, min_radius=1e-8)
 
+    def test_readme_table_lists_the_fields_in_order(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration\n", 1)[1].split("\n#", 1)[0]
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == names
+        count = "zero one two three four five six seven eight nine ten".split()[len(names)]
+        assert f"`SolverConfig` has {count} fields" in section
+
     def test_lambda_threshold_is_a_constant(self):
-        assert len(dataclasses.fields(SolverConfig)) == 8
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "kind",
+            "initial_radius",
+            "min_radius",
+            "max_evaluations",
+            "weighting",
+            "model_error_diagnostic",
+        ]
         assert SolverConfig().lambda_threshold == SolverConfig.lambda_threshold == driver.LAMBDA_THRESHOLD == 100.0
         with pytest.raises(TypeError):
             SolverConfig(lambda_threshold=1.0)
@@ -1176,6 +1197,8 @@ def test_default_point_counts_match_formulas():
     assert default_point_count(ModelKind.HERMITE_LS, 3, (1, 2)) == 5
     # with no derivatives it degenerates to the square interpolation count
     assert default_point_count(ModelKind.HERMITE_LS, 2, ()) == 6
+    # every pair it is given adds a row per point: max(5, ceil(6/4))
+    assert default_point_count(ModelKind.HERMITE_LS, 2, (), ((1, 1), (1, 2), (2, 2))) == 5
 
 
 OPENBLAS = _blas.find_openblas()

@@ -41,14 +41,12 @@ def cases(draw):
     x0 = lower + t * width  # on a face when t is 0 or 1
     kind = draw(st.sampled_from(list(ModelKind)))
     mask = draw(st.sets(st.integers(1, n)))
-    # pairs may be declared without being read: only hermite-ls with
-    # second order on reads them
+    # pairs may be declared without being read: only hermite-ls reads them
     pairs = second_order_closure(mask) if draw(st.booleans()) else ()
-    second_order = draw(st.booleans())
     noise = draw(st.sampled_from([0.0, 1e-2]))
     extra = draw(st.integers(0, 40))
     box = Bounds(lower, upper)
-    return problem, box, np.clip(x0, lower, upper), kind, mask, pairs, second_order, noise, extra
+    return problem, box, np.clip(x0, lower, upper), kind, mask, pairs, noise, extra
 
 
 def instrumented(problem, bounds, mask, pairs, noise, seed):
@@ -85,9 +83,9 @@ def signature(result):
 @settings(max_examples=60, deadline=None)
 @given(cases(), st.integers(0, 2**32 - 1))
 def test_run_invariants(case, seed):
-    problem, bounds, x0, kind, mask, pairs, second_order, noise, extra = case
+    problem, bounds, x0, kind, mask, pairs, noise, extra = case
     spec, counts = instrumented(problem, bounds, mask, pairs, noise, seed)
-    config = SolverConfig(kind=kind, second_order=second_order)
+    config = SolverConfig(kind=kind)
     config.max_evaluations = resolve_model(spec, config)[1] + extra
     result = run(spec, x0, config)
 
@@ -96,7 +94,7 @@ def test_run_invariants(case, seed):
     assert len(result.evaluation_log) == result.evaluations == counts["value"]
     assert {purpose for purpose, _ in result.evaluation_log} <= set(PURPOSES)
     assert counts["derivative"] == (result.evaluations if mask else 0)
-    reads_pairs = pairs and kind is ModelKind.HERMITE_LS and second_order
+    reads_pairs = pairs and kind is ModelKind.HERMITE_LS
     assert counts["second_derivative"] == (result.evaluations if reads_pairs else 0)
     assert result.x_best is not None and bounds.contains(result.x_best)
     size = resolve_model(spec, config)[1]

@@ -137,7 +137,7 @@ def build_system(kind, n, directions, pairs, seed):
     with values and derivatives of a random quadratic."""
     rng = np.random.default_rng(seed)
     _, _, H, fn, grad = random_quadratic(n, rng)
-    count = default_point_count(kind, n, directions, pairs, bool(pairs))
+    count = default_point_count(kind, n, directions, pairs)
     pts = rng.uniform(-1.0, 1.0, size=(count, n)) * rng.uniform(0.1, 10.0)
     ts = build_training_set(pts, fn, grad, directions, lambda x: H, pairs)
     h_prev = np.diag(rng.normal(size=n))
