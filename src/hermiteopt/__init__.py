@@ -11,7 +11,6 @@ from .driver import (
     RunResult,
     SolverConfig,
     TerminationReason,
-    model_error_diagnostic,
     run,
 )
 from .models import (
@@ -40,12 +39,11 @@ from .problem import (
     DerivativeAvailability,
     EvaluationRecord,
     ObjectiveSpec,
-    TaylorReference,
     TrainingSet,
     evaluate,
 )
 from .subproblem import solve_subproblem
-from .testbed import add_noise, get_problem, mask_availability
+from .testbed import add_noise, get_problem, mask_availability, model_error_diagnostic
 from .yields import YieldProblem, yield_estimate, yield_gradient_means, yield_objective
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "Region",
     "RunResult",
     "SolverConfig",
-    "TaylorReference",
     "TerminationReason",
     "TrainingSet",
     "YieldProblem",

@@ -28,8 +28,10 @@ from .problem import ObjectiveSpec
 from .testbed import (
     NOISE_AMPLITUDES,
     PROBLEMS,
+    TestProblem,
     add_noise,
     mask_availability,
+    model_error_diagnostic,
     second_order_closure,
 )
 from .yields import MEAN_DIRECTIONS, START_POINT, YIELD_MODES, yield_objective
@@ -60,7 +62,7 @@ SUMMARY_COLUMNS = (
     "delta_vs_bobyqa_pct",
 )
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+TRACE_COLUMNS = tuple("model_error" if f.name == "model" else f.name for f in fields(TraceRow))
 
 # relative f-gap against the reference optimum that counts as success
 SUCCESS_RTOL = 1e-6
@@ -355,10 +357,12 @@ def summarize(results_path: str | Path, out_path: str | Path) -> list[dict]:
     return out_rows
 
 
-def trace_export(result: RunResult, path: str | Path) -> None:
+def trace_export(result: RunResult, path: str | Path, problem: TestProblem | None = None) -> None:
     """Per-iteration trace as CSV, suitable for external plotting; a
-    field the iteration did not compute is an empty cell.  A run with no
-    trial step raises, naming its reason and evaluations per purpose."""
+    field the iteration did not compute is an empty cell.  The
+    ``model_error`` column holds each row's ``model_error_diagnostic``
+    against ``problem``, and is empty without one.  A run with no trial
+    step raises, naming its reason and evaluations per purpose."""
     if not result.trace:
         purposes = [purpose for purpose, _ in result.evaluation_log]
         spent = ", ".join(f"{p} {purposes.count(p)}" for p in PURPOSES)
@@ -366,4 +370,8 @@ def trace_export(result: RunResult, path: str | Path) -> None:
             f"run produced an empty trace: no trial step before {result.reason.value} "
             f"after {result.evaluations} evaluations ({spent})"
         )
-    _write_csv(path, TRACE_COLUMNS, [vars(row) for row in result.trace])
+    rows = [
+        {**vars(row), "model_error": None if problem is None else model_error_diagnostic(row.model, problem)}
+        for row in result.trace
+    ]
+    _write_csv(path, TRACE_COLUMNS, rows)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bench import ExperimentPlan, PlanCase, registry, run_inputs, run_plan, summarize, trace_export
 from .driver import run
 from .exceptions import HermiteOptError
 from .models import ModelKind
-from .testbed import NOISE_AMPLITUDES
+from .testbed import NOISE_AMPLITUDES, PROBLEMS
 
 ALL_KINDS = [k.value for k in ModelKind]
 
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--diagnostic",
         action="store_true",
-        help="record the model-error diagnostic when the problem is analytic",
+        help="fill the model_error column after the run (analytic test problems only)",
     )
     return parser
 
@@ -95,6 +94,8 @@ def _cmd_trace(args) -> int:
     entry = registry().get(args.problems[0])
     if entry is None:
         raise ValueError(f"unknown problem {args.problems[0]!r}")
+    if args.diagnostic and entry.name not in PROBLEMS:
+        raise ValueError(f"{entry.name} has no analytic reference; --diagnostic does not apply")
     plan = _plan(args)
     mask = entry.fixed_mask(plan.kinds[0])
     if args.mask:
@@ -108,9 +109,8 @@ def _cmd_trace(args) -> int:
         mask = tuple(range(1, args.kd[0] + 1))
     case = PlanCase(problem=entry.name, kind=plan.kinds[0], mask=mask, seed=args.seed[0])
     spec, config = run_inputs(case, plan, entry)
-    config = replace(config, model_error_diagnostic=args.diagnostic)
     result = run(spec, entry.x_start, config)
-    trace_export(result, args.out)
+    trace_export(result, args.out, PROBLEMS[entry.name] if args.diagnostic else None)
     print(
         f"{entry.name} [{case.kind.value}]: f_best={result.f_best:.6g} "
         f"evaluations={result.evaluations} reason={result.reason.value}; "

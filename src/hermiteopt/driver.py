@@ -49,13 +49,7 @@ from .poisedness import (
     propose_geometry_point,
     select_outgoing,
 )
-from .problem import (
-    ObjectiveSpec,
-    TaylorReference,
-    TrainingSet,
-    evaluate,
-    rows_equal,
-)
+from .problem import ObjectiveSpec, TrainingSet, evaluate, rows_equal
 from .subproblem import solve_subproblem
 
 
@@ -97,7 +91,6 @@ class SolverConfig:
     min_radius: float = 1e-8
     max_evaluations: int = 500
     weighting: bool = False
-    model_error_diagnostic: bool = False
     lambda_threshold: ClassVar[float] = LAMBDA_THRESHOLD  # read-only
 
     def __post_init__(self):
@@ -109,13 +102,15 @@ class SolverConfig:
 class TraceRow:
     """One iteration that reached its trial evaluation.
 
-    ``ratio`` is actual over predicted decrease, ``repairs`` the rank
-    repairs billed before the model solved, ``sigma_ratio`` the smallest
-    over the largest singular value of the system the model was solved
-    from, ``replaced`` the training index the trial replaced (None when
-    rejected or a duplicate), ``lam`` the poisedness estimate when one ran
-    and ``lam_bound`` the largest Lagrange column bound when the
-    poisedness test ran; float fields an iteration did not compute are NaN.
+    ``model`` is the quadratic the step minimized, centred on the
+    iteration's incumbent, ``ratio`` actual over predicted decrease,
+    ``repairs`` the rank repairs billed before the model solved,
+    ``sigma_ratio`` the smallest over the largest singular value of the
+    system the model was solved from, ``replaced`` the training index the
+    trial replaced (None when rejected or a duplicate), ``lam`` the
+    poisedness estimate when one ran and ``lam_bound`` the largest Lagrange
+    column bound when the poisedness test ran; float fields an iteration did
+    not compute are NaN.
     """
 
     iteration: int
@@ -123,7 +118,7 @@ class TraceRow:
     radius: float
     f_best: float
     accepted: bool
-    model_error: float = float("nan")
+    model: QuadraticModel
     ratio: float = float("nan")
     step_norm: float = float("nan")
     predicted_decrease: float = float("nan")
@@ -607,38 +602,6 @@ def _propose_repair(state, spec, sys_scaled, skip=()):
     return None
 
 
-def model_error_diagnostic(
-    model: QuadraticModel,
-    reference: TaylorReference,
-    center: np.ndarray,
-    halfwidth: float = 0.01,
-) -> float:
-    """Squared L2 distance between the model and the second-order Taylor
-    expansion of the reference function at ``center``, over the box
-    center +- halfwidth.
-
-    Both are quadratics, so the integral is exact from the moments of the
-    uniform box, mu2 = h^2/3 and mu4 = h^4/5.  With a, b and C the
-    differences of value, gradient and Hessian at the center, it is
-
-        (2h)^n [(a + mu2 tr C/2)^2 + mu2 |b|^2
-                + ((mu4 - mu2^2) sum C_ii^2 + 2 mu2^2 sum_{i!=j} C_ij^2)/4],
-
-    a sum of nonnegative terms.
-    """
-    center = np.asarray(center, dtype=float)
-    h = float(halfwidth)
-    mu2, mu4 = h**2 / 3.0, h**4 / 5.0
-    a = model.value(center) - reference.value(center)
-    b = model.gradient(center) - np.asarray(reference.gradient(center), dtype=float)
-    C = model.H - np.asarray(reference.hessian(center), dtype=float)
-    diag = np.diag(C)
-    off = C - np.diag(diag)
-    quartic = (mu4 - mu2**2) * float(diag @ diag) + 2.0 * mu2**2 * float(np.sum(off * off))
-    mean_sq = (a + 0.5 * mu2 * float(np.sum(diag))) ** 2 + mu2 * float(b @ b) + 0.25 * quartic
-    return float((2.0 * h) ** center.size * mean_sq)
-
-
 def _propose_geometry(state, spec, config, delta, sys_now=None):
     """A geometry-improvement point when the set is badly poised on the
     current ball or has gone stale (points far outside it).
@@ -729,12 +692,8 @@ def step_iteration(
     s = solvable.svd[1]
     sigma_ratio = float(s[-1] / s[0])
 
-    diag_value = float("nan")
     incumbent = state.ts.incumbent_record
     x_opt, f_opt = incumbent.point, incumbent.value
-    if config.model_error_diagnostic and spec.taylor_reference is not None:
-        diag_value = model_error_diagnostic(model, spec.taylor_reference, x_opt)
-
     step = solve_subproblem(model, x_opt, delta, spec.bounds)
     step_norm = math.sqrt(float(step.dot(step)))
     if step_norm < STEP_TINY:
@@ -779,7 +738,7 @@ def step_iteration(
         radius=state.radius,
         f_best=evaluator.best_value,
         accepted=accepted,
-        model_error=diag_value,
+        model=model,
         ratio=r,
         step_norm=step_norm,
         predicted_decrease=decrease,

@@ -111,18 +111,6 @@ class DerivativeAvailability:
         return tuple(sorted(self.second_order))
 
 
-@dataclass(frozen=True)
-class TaylorReference:
-    """Noise-free value/gradient/Hessian oracles of a test function.
-
-    Only used by diagnostics; never billed against the evaluation budget.
-    """
-
-    value: Callable[[Vector], float]
-    gradient: Callable[[Vector], Vector]
-    hessian: Callable[[Vector], np.ndarray]
-
-
 @dataclass
 class ObjectiveSpec:
     """An objective together with its declared derivative availability.
@@ -139,7 +127,6 @@ class ObjectiveSpec:
     availability: DerivativeAvailability = field(default_factory=DerivativeAvailability)
     derivative: Callable[[Vector], Vector] | None = None
     second_derivative: Callable[[Vector], Vector] | None = None
-    taylor_reference: TaylorReference | None = None
     name: str = ""
 
     def __post_init__(self):

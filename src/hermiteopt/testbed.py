@@ -4,7 +4,8 @@ Every problem carries value, gradient and Hessian oracles plus a box, a
 reference optimum and a default start.  ``mask_availability`` turns a
 problem into an objective spec that exposes only a chosen subset of the
 derivatives, one array per order and call; ``add_noise`` wraps a spec
-with multiplicative uniform noise on values and derivative components.
+with multiplicative uniform noise on values and derivative components,
+and ``model_error_diagnostic`` scores a run's models against a problem.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .problem import Bounds, DerivativeAvailability, ObjectiveSpec, TaylorReference
+from .models import QuadraticModel
+from .problem import Bounds, DerivativeAvailability, ObjectiveSpec
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,33 @@ class TestProblem:
 
     def hessian(self, x) -> np.ndarray:
         return np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float)
+
+
+def model_error_diagnostic(model: QuadraticModel, problem: TestProblem, halfwidth: float = 0.01) -> float:
+    """Squared L2 distance between the model and the second-order Taylor
+    expansion of the problem's function at ``model.center``, over the box
+    center +- halfwidth.
+
+    Both are quadratics, so the integral is exact from the moments of the
+    uniform box, mu2 = h^2/3 and mu4 = h^4/5.  With a, b and C the
+    differences of value, gradient and Hessian at the center, it is
+
+        (2h)^n [(a + mu2 tr C/2)^2 + mu2 |b|^2
+                + ((mu4 - mu2^2) sum C_ii^2 + 2 mu2^2 sum_{i!=j} C_ij^2)/4],
+
+    a sum of nonnegative terms.
+    """
+    center = model.center
+    h = float(halfwidth)
+    mu2, mu4 = h**2 / 3.0, h**4 / 5.0
+    a = model.value(center) - problem.value(center)
+    b = model.gradient(center) - problem.gradient(center)
+    C = model.H - problem.hessian(center)
+    diag = np.diag(C)
+    off = C - np.diag(diag)
+    quartic = (mu4 - mu2**2) * float(diag @ diag) + 2.0 * mu2**2 * float(np.sum(off * off))
+    mean_sq = (a + 0.5 * mu2 * float(np.sum(diag))) ** 2 + mu2 * float(b @ b) + 0.25 * quartic
+    return float((2.0 * h) ** center.size * mean_sq)
 
 
 def _box(n: int, lo: float, hi: float) -> Bounds:
@@ -317,9 +346,6 @@ def mask_availability(
         availability=avail,
         derivative=derivative,
         second_derivative=second,
-        taylor_reference=TaylorReference(
-            value=problem.value, gradient=problem.gradient, hessian=problem.hessian
-        ),
         name=problem.name,
     )
 
@@ -329,8 +355,7 @@ def add_noise(spec: ObjectiveSpec, amplitude: float, seed: int) -> ObjectiveSpec
     component is scaled by an independent fresh (1 + xi), xi ~ U(-a, a).
 
     A derivative call draws its xi as one array, the same stream as one
-    scalar draw per component.  The Taylor reference stays noise-free so
-    diagnostics compare against the true function.
+    scalar draw per component.
     """
     if amplitude < 0:
         raise ValueError("noise amplitude must be nonnegative")
@@ -353,7 +378,6 @@ def add_noise(spec: ObjectiveSpec, amplitude: float, seed: int) -> ObjectiveSpec
         availability=spec.availability,
         derivative=perturbed(spec.derivative) if spec.derivative else None,
         second_derivative=perturbed(spec.second_derivative) if spec.second_derivative else None,
-        taylor_reference=spec.taylor_reference,
         name=spec.name + f"+noise{amplitude:g}",
     )
 

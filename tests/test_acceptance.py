@@ -71,10 +71,9 @@ def test_criterion_2_model_error_decay():
     cfg = ho.SolverConfig(
         kind=ModelKind.HERMITE_LS,
         max_evaluations=500,
-        model_error_diagnostic=True,
     )
     result = ho.run(spec, problem.x_start, cfg)
-    errors = [t.model_error for t in result.trace if t.iteration <= 30]
+    errors = [ho.model_error_diagnostic(t.model, problem) for t in result.trace if t.iteration <= 30]
     best = min(errors)
     elapsed = time.perf_counter() - t0
     report(

@@ -223,14 +223,10 @@ class TestSummarize:
 
 
 class TestTraceExport:
-    def run_once(self, diagnostic=False):
+    def run_once(self):
         problem = get_problem("rosenbrock2")
         spec = mask_availability(problem, {2})
-        cfg = SolverConfig(
-            kind=ModelKind.HERMITE_LS,
-            max_evaluations=60,
-            model_error_diagnostic=diagnostic,
-        )
+        cfg = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=60)
         return run(spec, problem.x_start, cfg)
 
     def test_schema_and_rows(self, tmp_path):
@@ -263,9 +259,9 @@ class TestTraceExport:
         assert any(r["lam_bound"] != "" for r in rows) and any(r["lam"] != "" for r in rows)
 
     def test_diagnostic_column_populated(self, tmp_path):
-        result = self.run_once(diagnostic=True)
+        result = self.run_once()
         path = tmp_path / "trace.csv"
-        trace_export(result, path)
+        trace_export(result, path, get_problem("rosenbrock2"))
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert all(r["model_error"] != "" for r in rows)
@@ -361,6 +357,14 @@ class TestCli:
         assert "(init 24, trial 0, geometry 0, repair 176)" in err
         assert not out.exists()
 
+    def test_trace_diagnostic_on_a_yield_case_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        argv = ["trace", "--problems", "yield-nonoise", "--kinds", "hermite-ls", "--diagnostic"]
+        assert main(argv + ["--budget", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: yield-nonoise has no analytic reference; --diagnostic does not apply\n"
+        assert not out.exists()
+
     def test_trace_mask_on_a_yield_case_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         argv = ["trace", "--problems", "yield-nonoise", "--kinds", "hermite-ls", "--mask", "1"]
@@ -424,9 +428,10 @@ class TestCli:
 
 class TestPinnedDigests:
     """SHA-256 of output CSVs: two results CSVs with weighted rows, which
-    no perfbench workload runs, the README's `run` example and two
-    traces.  The solver's results must not move by a bit; the digests
-    depend on the numpy and BLAS build, as perfbench's do."""
+    no perfbench workload runs, the README's `run` example, two traces
+    and four traces whose model_error column pins the diagnostic.  The
+    solver's results must not move by a bit; the digests depend on the
+    numpy and BLAS build, as perfbench's do."""
 
     PLANS = [
         (
@@ -462,6 +467,24 @@ class TestPinnedDigests:
             (
                 "trace --problems yield-nonoise --kinds bobyqa --seed 0 --budget 100",
                 "c087673d826f7020f44c38cfe5d6d20024cb802b69fde4c795f3fd67c6a3b032",
+            ),
+            (
+                "trace --problems rosenbrock2 --kinds hermite-ls --mask 2 --budget 200 --diagnostic",
+                "bb4d3446d06cc294a271a1e2f12de9c25f4aa313a2f3a1ff842d4376da93a2dc",
+            ),
+            (
+                "trace --problems rosenbrock5 --kinds hermite-bobyqa --kd 3 --noise low --seed 1 "
+                "--budget 300 --diagnostic",
+                "1f93bf49a7e6f22bbe693869c019744b0928ff0255b3602275d3ea998a15497f",
+            ),
+            (
+                "trace --problems sphere4 --kinds bobyqa --budget 200 --diagnostic",
+                "585c70c796a84a9848cf3591fd9a4cac571439d3f5822e68ca5ab5050116436f",
+            ),
+            (
+                "trace --problems rosenbrock2 --kinds hermite-ls --mask 2 --budget 200 --diagnostic "
+                "--weighting --second-order",
+                "d0f036e3053092e6932acdbc34a60736b404a8ea42646f72ab6236f6eb6e064a",
             ),
         ],
     )

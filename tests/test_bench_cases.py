@@ -143,9 +143,6 @@ def oracle_outputs(spec: ObjectiveSpec, points) -> list[bytes]:
         out.append(bits(spec.value(x)))
         for oracle in (spec.derivative, spec.second_derivative):
             out.append(None if oracle is None else bits(oracle(x)))
-        if spec.taylor_reference is not None:
-            ref = spec.taylor_reference
-            out += [bits(ref.value(x)), bits(ref.gradient(x)), bits(ref.hessian(x))]
     return out
 
 
@@ -188,7 +185,6 @@ def test_specs_are_bit_identical(name):
                     assert (a.dimension, a.name) == (b.dimension, b.name), context
                     assert bits(a.bounds.lower) == bits(b.bounds.lower), context
                     assert bits(a.bounds.upper) == bits(b.bounds.upper), context
-                    assert (a.taylor_reference is None) == (b.taylor_reference is None), context
                     points = seeded_points(b, seed)
                     assert oracle_outputs(a, points) == oracle_outputs(b, points), context
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from util import availability, build_training_set, random_quadratic, row_tags
 
-from hermiteopt import _blas, driver
+from hermiteopt import _blas, driver, testbed
 from hermiteopt.bench import ExperimentPlan, _run_case, expand_plan, registry
 
 from hermiteopt.driver import (
@@ -24,7 +24,6 @@ from hermiteopt.driver import (
     default_point_count,
     initial_points,
     initialize,
-    model_error_diagnostic,
     resolve_model,
     run,
 )
@@ -40,11 +39,10 @@ from hermiteopt.poisedness import PoisednessEstimate, column_bounds, estimate_la
 from hermiteopt.problem import (
     Bounds,
     ObjectiveSpec,
-    TaylorReference,
     TrainingSet,
     rows_equal,
 )
-from hermiteopt.testbed import get_problem, mask_availability, rosenbrock
+from hermiteopt.testbed import get_problem, mask_availability, model_error_diagnostic, rosenbrock
 
 
 def spec_for(name, mask=()):
@@ -322,6 +320,12 @@ class TestRunBehavior:
 
 
 class TestDiagnostic:
+    @staticmethod
+    def reference(value, gradient, hessian, n):
+        """A test problem with the given oracles, for the diagnostic to read."""
+        zero = np.zeros(n)
+        return testbed.TestProblem("reference", n, value, gradient, hessian, Bounds.unbounded(n), zero, zero, 0.0)
+
     def test_exact_taylor_gives_zero(self):
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
         g = np.array([0.5, -1.0])
@@ -331,32 +335,25 @@ class TestDiagnostic:
             d = x - center
             return 3.0 + g @ d + 0.5 * d @ H @ d
 
-        ref = TaylorReference(
-            value=fn,
-            gradient=lambda x: g + H @ (x - center),
-            hessian=lambda x: H,
-        )
+        ref = self.reference(fn, lambda x: g + H @ (x - center), lambda x: H, 2)
         model = QuadraticModel(center=center, c=3.0, g=g, H=H)
-        err = model_error_diagnostic(model, ref, center, halfwidth=0.01)
+        err = model_error_diagnostic(model, ref, halfwidth=0.01)
         assert err <= 1e-14
 
     def test_constant_offset_integrates_to_volume(self):
-        center = np.zeros(2)
         eps = 0.3
-        ref = TaylorReference(
-            value=lambda x: 0.0,
-            gradient=lambda x: np.zeros(2),
-            hessian=lambda x: np.zeros((2, 2)),
-        )
-        model = QuadraticModel(center=center, c=eps, g=np.zeros(2), H=np.zeros((2, 2)))
+        ref = self.reference(lambda x: 0.0, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)), 2)
+        model = QuadraticModel(center=np.zeros(2), c=eps, g=np.zeros(2), H=np.zeros((2, 2)))
         delta = 0.01
-        err = model_error_diagnostic(model, ref, center, halfwidth=delta)
+        err = model_error_diagnostic(model, ref, halfwidth=delta)
         assert err == pytest.approx(eps**2 * (2 * delta) ** 2, rel=1e-12)
 
     @staticmethod
-    def gauss_legendre(model, ref, center, h):
-        """The squared error integrated by the 3-point Gauss-Legendre tensor
-        rule, exact for the degree-4 integrand."""
+    def gauss_legendre(model, ref, h):
+        """The squared error over the box model.center +- h, integrated by
+        the 3-point Gauss-Legendre tensor rule, exact for the degree-4
+        integrand."""
+        center = model.center
         nodes, weights = np.polynomial.legendre.leggauss(3)
         n = center.size
         grid = np.stack(np.meshgrid(*[nodes] * n, indexing="ij"), -1).reshape(-1, n)
@@ -371,14 +368,13 @@ class TestDiagnostic:
     def test_closed_form_matches_gauss_legendre(self, n):
         rng = np.random.default_rng(40 + n)
         for _ in range(50):
-            center = rng.normal(size=n)
             A, B = rng.normal(size=(2, n, n))
-            model = QuadraticModel(center + 0.3 * rng.normal(size=n), rng.normal(), rng.normal(size=n), A + A.T)
+            model = QuadraticModel(rng.normal(size=n), rng.normal(), rng.normal(size=n), A + A.T)
             f0, g0, H0 = rng.normal(), rng.normal(size=n), B + B.T
-            ref = TaylorReference(lambda x: f0, lambda x: g0, lambda x: H0)
+            ref = self.reference(lambda x: f0, lambda x: g0, lambda x: H0, n)
             h = 10.0 ** rng.uniform(-4, 0)
-            expected = self.gauss_legendre(model, ref, center, h)
-            assert model_error_diagnostic(model, ref, center, h) == pytest.approx(expected, rel=1e-12)
+            expected = self.gauss_legendre(model, ref, h)
+            assert model_error_diagnostic(model, ref, h) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "build, kind, mask, budget",
@@ -391,22 +387,47 @@ class TestDiagnostic:
     def test_diagnostic_runs_in_high_dimensions(self, build, kind, mask, budget):
         problem = build()
         spec = mask_availability(problem, mask)
-        config = SolverConfig(kind=kind, max_evaluations=budget, model_error_diagnostic=True)
-        result = run(spec, problem.x_start, config)
+        result = run(spec, problem.x_start, SolverConfig(kind=kind, max_evaluations=budget))
         assert result.trace
-        assert all(np.isfinite(row.model_error) and row.model_error >= 0.0 for row in result.trace)
+        errors = [model_error_diagnostic(row.model, problem) for row in result.trace]
+        assert all(np.isfinite(e) and e >= 0.0 for e in errors)
 
     def test_trace_carries_model_error(self):
         problem, spec = spec_for("rosenbrock2", mask=(2,))
-        cfg = SolverConfig(
-            kind=ModelKind.HERMITE_LS, max_evaluations=60, model_error_diagnostic=True
-        )
+        cfg = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=60)
         result = run(spec, problem.x_start, cfg)
-        errs = [t.model_error for t in result.trace]
-        assert all(np.isfinite(e) for e in errs)
-        cfg_off = SolverConfig(kind=ModelKind.HERMITE_LS, max_evaluations=60)
-        result_off = run(spec, problem.x_start, cfg_off)
-        assert all(np.isnan(t.model_error) for t in result_off.trace)
+        errs = [model_error_diagnostic(t.model, problem) for t in result.trace]
+        assert errs and all(np.isfinite(e) for e in errs)
+
+
+class TestTraceModels:
+    """Each trace row keeps the model its step minimized, so diagnostics
+    can read it after the run."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_row_model_is_the_minimized_model(self, kind, monkeypatch):
+        current, minimized = {}, {}
+        real_step, real_solve = driver.step_iteration, driver.solve_subproblem
+
+        def step(state, *args):
+            current["state"] = state
+            return real_step(state, *args)
+
+        def solve(model, x, delta, bounds):
+            ts = current["state"].ts
+            minimized[current["state"].iteration] = (model, ts.incumbent_record.point.copy(), model.H.copy())
+            return real_solve(model, x, delta, bounds)
+
+        monkeypatch.setattr(driver, "step_iteration", step)
+        monkeypatch.setattr(driver, "solve_subproblem", solve)
+        problem, spec = spec_for("rosenbrock5", mask=(1, 3))
+        result = run(spec, problem.x_start, SolverConfig(kind=kind, max_evaluations=120))
+        assert result.trace
+        for row in result.trace:
+            model, incumbent, H = minimized[row.iteration]
+            assert row.model is model
+            assert np.array_equal(row.model.center, incumbent)
+            assert np.array_equal(row.model.H, H)
 
 
 class TestEvaluationPurposes:
@@ -1179,7 +1200,6 @@ class TestConfigValidation:
             "min_radius",
             "max_evaluations",
             "weighting",
-            "model_error_diagnostic",
         ]
         assert SolverConfig().lambda_threshold == SolverConfig.lambda_threshold == driver.LAMBDA_THRESHOLD == 100.0
         with pytest.raises(TypeError):
